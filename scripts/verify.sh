@@ -116,9 +116,9 @@ tier_tsan() {
   cmake --preset tsan &&
   cmake --build build-tsan -j"$(nproc)" \
     --target chase_test chase_limits_test chase_parallel_test governor_test \
-             obs_test join_plan_test memory_budget_test &&
+             obs_test join_plan_test memory_budget_test trigger_dedup_test &&
   (cd build-tsan && ctest -j"$(nproc)" \
-    -R 'ParallelDiscovery|ChaseStats|NullCap|RandomOrderSeeding|ChaseTest|ChaseLimits|Governor|Deadline|Cancellation|FaultInjection|Tracer|ObsGovernor|ThreadPool|JoinPlan|BindingSegment|PlanExecutor|MemoryBudget|InstanceBudget|ChaseMemory|Histogram|PerfCounters|Progress')
+    -R 'ParallelDiscovery|ChaseStats|NullCap|RandomOrderSeeding|ChaseTest|ChaseLimits|Governor|Deadline|Cancellation|FaultInjection|Tracer|ObsGovernor|ThreadPool|JoinPlan|BindingSegment|PlanExecutor|MemoryBudget|InstanceBudget|ChaseMemory|Histogram|PerfCounters|Progress|TriggerKeyTable|MergedDiscovery')
 }
 
 tier_asan() {
@@ -130,9 +130,9 @@ tier_asan() {
   cmake --preset asan &&
   cmake --build build-asan -j"$(nproc)" \
     --target governor_test egd_test chase_limits_test decider_test \
-             join_plan_test memory_budget_test edb_test &&
+             join_plan_test memory_budget_test edb_test trigger_dedup_test &&
   (cd build-asan && ctest -j"$(nproc)" \
-    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|JoinPlan|BindingSegment|PlanExecutor|MemoryBudget|InstanceBudget|ChaseMemory|BulkLoad|EdbSeed|EdbSnapshot')
+    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|JoinPlan|BindingSegment|PlanExecutor|MemoryBudget|InstanceBudget|ChaseMemory|BulkLoad|EdbSeed|EdbSnapshot|TriggerKeyTable|MergedDiscovery')
 }
 
 tier_perf() {
@@ -165,14 +165,16 @@ tier_bulkload() {
   # deterministic 1M-atom CSV goes through edb_gen -> chase_cli
   # --load-csv under a 4 GiB budget; the run must exit 0 and the stats
   # JSON must carry the load-phase fields (1M EDB atoms, a real byte
-  # count, no budget denials).
+  # count, no budget denials). Then the same job without max_atoms: the
+  # default cap (database + 10000) must stop it with exit 3 and name
+  # itself on stderr.
   cmake --build --preset default -j"$(nproc)" --target chase_cli edb_gen &&
   ./build/tools/edb_gen --profile=chain --atoms=1000000 --seed=13 \
     --out=build/bulkload-smoke.csv --rules-out=build/bulkload-rules.dlgp &&
   ./build/tools/chase_cli build/bulkload-rules.dlgp restricted 100000000 \
     --load-csv=build/bulkload-smoke.csv --max-memory-mb=4096 --stats \
     > build/bulkload-stats.json &&
-  python3 - <<'EOF'
+  python3 - <<'EOF' || return 1
 import json
 stats = json.load(open("build/bulkload-stats.json"))
 assert stats["edb_atoms"] == 1000000, stats["edb_atoms"]
@@ -183,6 +185,16 @@ mb_s = stats["load_bytes"] / 1e6 / (stats["load_ms"] / 1e3)
 print(f"bulk-load smoke OK: {stats['edb_atoms']} atoms in "
       f"{stats['load_ms']:.0f} ms ({mb_s:.0f} MB/s)")
 EOF
+  local code=0
+  ./build/tools/chase_cli build/bulkload-rules.dlgp restricted \
+    --load-csv=build/bulkload-smoke.csv > /dev/null \
+    2> build/bulkload-default-cap.err || code=$?
+  if [[ "$code" != 3 ]]; then
+    echo "bulk-load smoke: default cap expected exit 3, got $code" >&2
+    return 1
+  fi
+  grep -F "run stopped by a cap: max_atoms=1010000 (the default: 1000000 database facts + 10000); pass a larger max_atoms" \
+    build/bulkload-default-cap.err
 }
 
 tier_fuzz() {
@@ -215,7 +227,8 @@ import json
 metrics = json.load(open("build/report-metrics.json"))
 hists = metrics["histograms"]
 for key in ("chase.round_ns", "chase.apply_ns", "chase.discovery_ns",
-            "chase.batch_flush_ns", "chase.head_check_ns"):
+            "chase.discovery_merge_ns", "chase.batch_flush_ns",
+            "chase.head_check_ns"):
     assert key in hists, f"missing histogram {key}"
     assert hists[key]["count"] > 0, f"empty histogram {key}"
     for stat in ("p50", "p90", "p99", "max", "mean"):

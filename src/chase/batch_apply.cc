@@ -67,6 +67,7 @@ bool ChaseRun::ApplyPendingBatch(const std::vector<PendingTrigger>& pending,
       return false;
     }
     const Tgd& rule = rules_.rule(trigger.rule);
+    const Term* binding = PendingRow(trigger);
     if (options_.variant == ChaseVariant::kRestricted) {
       // A satisfaction check must observe every atom staged so far — an
       // earlier trigger this round may have satisfied this one — so the
@@ -76,8 +77,7 @@ bool ChaseRun::ApplyPendingBatch(const std::vector<PendingTrigger>& pending,
       // allocation-free substitution and the shared ground-head fast
       // path.
       flush();
-      const HeadCheck check =
-          CheckHeadSatisfied(rule, trigger.binding, outcome);
+      const HeadCheck check = CheckHeadSatisfied(rule, binding, outcome);
       if (check == HeadCheck::kStopped) return false;
       if (check == HeadCheck::kSatisfied) {
         ++stats_.per_rule[trigger.rule].skipped_satisfied;
@@ -110,7 +110,7 @@ bool ChaseRun::ApplyPendingBatch(const std::vector<PendingTrigger>& pending,
     // per-trigger and in existential-variable order, identical to
     // ApplyTrigger, so a round's nulls form one contiguous id range and
     // every null matches its per-trigger twin.
-    extended_scratch_.assign(trigger.binding.begin(), trigger.binding.end());
+    extended_scratch_.assign(binding, binding + rule.num_variables());
     for (VarId v : rule.existential_variables()) {
       extended_scratch_[v] = Term::Null(next_null_++);
     }
@@ -125,11 +125,7 @@ bool ChaseRun::ApplyPendingBatch(const std::vector<PendingTrigger>& pending,
         // post-insert cap check. Cap-adjacent rounds are terminal, so the
         // degraded granularity costs nothing measurable.
         flush();
-        head_scratch_.clear();
-        for (Term t : head.args) {
-          head_scratch_.push_back(t.IsVariable() ? extended_scratch_[t.index()]
-                                                 : t);
-        }
+        SubstituteRow(head, extended_scratch_.data(), &head_scratch_);
         instance_.TryAddTerms(head.predicate, head_scratch_.data(), arity);
         if (instance_.size() > options_.max_atoms) {
           *outcome = ChaseOutcome::kResourceLimit;

@@ -6,7 +6,6 @@
 #include <new>
 #include <utility>
 
-#include "base/hash.h"
 #include "base/rng.h"
 #include "base/timer.h"
 #include "obs/histogram.h"
@@ -72,9 +71,12 @@ std::shared_ptr<MemoryBudget> EffectiveBudget(const ChaseOptions& options) {
 
 }  // namespace
 
-std::size_t ChaseRun::KeyHash::operator()(
-    const std::vector<uint32_t>& key) const noexcept {
-  return HashRange(key.begin(), key.end());
+void ChaseRun::SubstituteRow(const Atom& atom, const Term* binding,
+                             std::vector<Term>* out) {
+  out->clear();
+  for (Term t : atom.args) {
+    out->push_back(t.IsVariable() ? binding[t.index()] : t);
+  }
 }
 
 ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options)
@@ -91,6 +93,13 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options)
   stats_.memory_budget_bytes =
       memory_budget_->limited() ? memory_budget_->hard_limit_bytes() : 0;
   stats_.per_rule.assign(rules_.size(), RuleStats{});
+  const bool oblivious = options_.variant == ChaseVariant::kOblivious;
+  applied_keys_.reserve(rules_.size());
+  for (const Tgd& rule : rules_.rules()) {
+    const std::vector<VarId>& key_variables =
+        oblivious ? rule.universal_variables() : rule.frontier();
+    applied_keys_.emplace_back(key_variables);
+  }
   // Compile the join plans once per run. Compilation is unconditional —
   // it is O(body size) per rule and lets stats report plannability even
   // when execution is toggled off — but the discovery dispatch only uses
@@ -149,40 +158,20 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options,
   stats_.edb_atoms = instance_.size();
 }
 
-std::vector<uint32_t> ChaseRun::TriggerKey(uint32_t rule_index,
-                                           const Binding& binding) const {
-  const Tgd& rule = rules_.rule(rule_index);
-  const std::vector<VarId>& vars =
-      options_.variant == ChaseVariant::kOblivious ? rule.universal_variables()
-                                                   : rule.frontier();
-  std::vector<uint32_t> key;
-  key.reserve(vars.size() + 1);
-  key.push_back(rule_index);
-  for (VarId v : vars) {
-    GCHASE_CHECK(IsBound(binding[v]));
-    key.push_back(binding[v].raw());
-  }
-  return key;
-}
-
-std::vector<uint32_t> ChaseRun::TriggerKeyRow(uint32_t rule_index,
-                                              const Term* row) const {
-  const Tgd& rule = rules_.rule(rule_index);
-  const std::vector<VarId>& vars =
-      options_.variant == ChaseVariant::kOblivious ? rule.universal_variables()
-                                                   : rule.frontier();
-  std::vector<uint32_t> key;
-  key.reserve(vars.size() + 1);
-  key.push_back(rule_index);
-  for (VarId v : vars) {
-    GCHASE_CHECK(IsBound(row[v]));
-    key.push_back(row[v].raw());
-  }
-  return key;
+void ChaseRun::AdmitTrigger(uint32_t rule_index, const Term* row,
+                            std::vector<PendingTrigger>* pending) {
+  ++hom_discoveries_;
+  if (!applied_keys_[rule_index].InsertRow(row)) return;
+  ++stats_.per_rule[rule_index].discovered;
+  const uint32_t width = rules_.rule(rule_index).num_variables();
+  const uint64_t offset = pending_rows_.size();
+  GCHASE_CHECK(offset + width <= std::numeric_limits<uint32_t>::max());
+  pending->push_back({rule_index, static_cast<uint32_t>(offset)});
+  pending_rows_.insert(pending_rows_.end(), row, row + width);
 }
 
 ChaseRun::HeadCheck ChaseRun::CheckHeadSatisfied(const Tgd& rule,
-                                                 const Binding& binding,
+                                                 const Term* binding,
                                                  ChaseOutcome* outcome) {
   static MetricHistogram* const head_check_hist =
       MetricsRegistry::Global().Histogram("chase.head_check_ns");
@@ -199,10 +188,7 @@ ChaseRun::HeadCheck ChaseRun::CheckHeadSatisfied(const Tgd& rule,
     // is one dedup probe per head atom — no join search. Each probe
     // counts as one join-work visit.
     for (const Atom& head : rule.head()) {
-      head_scratch_.clear();
-      for (Term t : head.args) {
-        head_scratch_.push_back(t.IsVariable() ? binding[t.index()] : t);
-      }
+      SubstituteRow(head, binding, &head_scratch_);
       ++join_work_;
       if (!instance_.ContainsTerms(head.predicate, head_scratch_.data(),
                                    head.arity())) {
@@ -239,7 +225,7 @@ ChaseRun::HeadCheck ChaseRun::CheckHeadSatisfied(const Tgd& rule,
   return HeadCheck::kUnsatisfied;
 }
 
-bool ChaseRun::ApplyTrigger(uint32_t rule_index, const Binding& binding,
+bool ChaseRun::ApplyTrigger(uint32_t rule_index, const Term* binding,
                             const AtomObserver& observer,
                             ChaseOutcome* outcome) {
   const Tgd& rule = rules_.rule(rule_index);
@@ -269,22 +255,23 @@ bool ChaseRun::ApplyTrigger(uint32_t rule_index, const Binding& binding,
   ++stats_.per_rule[rule_index].applied;
 
   // Extend the homomorphism with fresh nulls for the existential variables.
-  Binding extended = binding;
+  extended_scratch_.assign(binding, binding + rule.num_variables());
   TriggerRecord record;
   if (options_.track_provenance) {
     record.rule = rule_index;
-    record.binding = binding;
+    record.binding.assign(binding, binding + rule.num_variables());
     record.body_atoms.reserve(rule.body().size());
     for (const Atom& body_atom : rule.body()) {
-      std::optional<AtomId> id =
-          instance_.Find(SubstituteAtom(body_atom, binding));
+      SubstituteRow(body_atom, binding, &head_scratch_);
+      std::optional<AtomId> id = instance_.FindTerms(
+          body_atom.predicate, head_scratch_.data(), body_atom.arity());
       GCHASE_CHECK(id.has_value());
       record.body_atoms.push_back(*id);
     }
   }
   for (VarId v : rule.existential_variables()) {
     Term null = Term::Null(next_null_++);
-    extended[v] = null;
+    extended_scratch_[v] = null;
     if (options_.track_provenance) record.created_nulls.push_back(null);
   }
 
@@ -297,12 +284,15 @@ bool ChaseRun::ApplyTrigger(uint32_t rule_index, const Binding& binding,
     parent_depth = provenance_[parent_id].depth;
   }
 
-  std::vector<AtomId> new_atoms;
+  // The instance is append-only, so this trigger's new atoms are exactly
+  // the ids from here to the end.
+  const AtomId first_new = instance_.size();
   bool over_atom_cap = false;
   for (uint32_t h = 0; h < rule.head().size(); ++h) {
-    Atom derived = SubstituteAtom(rule.head()[h], extended);
-    auto [id, inserted] = instance_.Insert(derived);
-    if (inserted) new_atoms.push_back(id);
+    const Atom& head = rule.head()[h];
+    SubstituteRow(head, extended_scratch_.data(), &head_scratch_);
+    auto [id, inserted] = instance_.TryAddTerms(
+        head.predicate, head_scratch_.data(), head.arity());
     if (options_.track_provenance) {
       record.produced.push_back(id);
       if (inserted) {
@@ -325,7 +315,7 @@ bool ChaseRun::ApplyTrigger(uint32_t rule_index, const Binding& binding,
   // Notify only after the trigger record is in place: observers (e.g. the
   // pump detector) follow provenance into triggers().
   if (observer != nullptr) {
-    for (AtomId id : new_atoms) {
+    for (AtomId id = first_new; id < instance_.size(); ++id) {
       if (!observer(id)) {
         abort_requested_ = true;
         break;
@@ -421,34 +411,27 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
     num_threads = std::min(num_threads, options_.executor->worker_count());
   }
   last_estimated_work_ = EstimateDiscoveryWork(watermark);
-  last_parallel_ = false;
   last_plan_units_ = 0;
   last_fallback_units_ = 0;
   last_binding_rows_ = 0;
-  // The compiled-plan engine takes over whenever it can help: it runs
-  // plannable rules set-at-a-time and everything else through the same
-  // backtracking search the legacy engines use, so with zero plannable
-  // rules it would only add per-unit buffer shuffling.
+  pending_rows_.clear();
+  // The compiled plans take over whenever they can help: the unit engine
+  // runs plannable rules set-at-a-time and everything else through the
+  // same backtracking search, so with zero plannable rules it would only
+  // add per-unit buffer shuffling to a serial round.
   const bool use_plans = options_.join_plans && plans_.plannable_rules() > 0;
   // Adaptive cutover: tiny rounds run serial even with a pool configured —
   // waking parked workers costs more than a handful of index probes. Both
   // engines produce identical results, so this is purely a scheduling
   // decision.
-  if (num_threads <= 1 ||
-      (options_.parallel_cutover_work != 0 &&
-       last_estimated_work_ < options_.parallel_cutover_work)) {
-    if (use_plans) {
-      return DiscoverPlanned(watermark, capped, stopped, stop_outcome, 1);
-    }
+  const uint64_t cutover = options_.parallel_cutover_work;
+  const bool big_round = cutover == 0 || last_estimated_work_ >= cutover;
+  last_parallel_ = num_threads > 1 && big_round;
+  if (!use_plans && !last_parallel_) {
     return DiscoverSerial(watermark, capped, stopped, stop_outcome);
   }
-  last_parallel_ = true;
-  if (use_plans) {
-    return DiscoverPlanned(watermark, capped, stopped, stop_outcome,
-                           num_threads);
-  }
-  return DiscoverParallel(watermark, capped, stopped, stop_outcome,
-                          num_threads);
+  return DiscoverPlanned(watermark, capped, stopped, stop_outcome,
+                         last_parallel_ ? num_threads : 1, use_plans);
 }
 
 std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverSerial(
@@ -489,12 +472,7 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverSerial(
       finder.FindAllWithOptions(
           rule.body(), rule.num_variables(), search, Binding(),
           [&](const Binding& binding) {
-            ++hom_discoveries_;
-            std::vector<uint32_t> key = TriggerKey(r, binding);
-            if (applied_keys_.insert(std::move(key)).second) {
-              ++stats_.per_rule[r].discovered;
-              pending.push_back(PendingTrigger{r, binding});
-            }
+            AdmitTrigger(r, binding.data(), &pending);
             if (applied_triggers_ + pending.size() >= options_.max_steps ||
                 hom_discoveries_ >= options_.max_hom_discoveries) {
               *capped = true;
@@ -511,40 +489,79 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverSerial(
   return pending;
 }
 
-std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverParallel(
+std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
     AtomId watermark, bool* capped, bool* stopped, ChaseOutcome* stop_outcome,
-    uint32_t num_threads) {
+    uint32_t num_threads, bool use_plans) {
   // One work unit per (rule, pivot) pair: the pivot conjunct is
   // constrained to the delta, so the units partition the round's
-  // homomorphisms exactly as the serial engine enumerates them. Workers
-  // share the instance read-only and write only their own unit, so the
-  // phase is data-race-free by construction.
-  struct DiscoveryUnit {
+  // homomorphisms exactly as DiscoverSerial enumerates them. Plan units
+  // execute their compiled plan set-at-a-time; the others run the
+  // backtracking search. Either way a unit's rows arrive in the exact
+  // order the serial engine discovers them, so the unit-order merge
+  // reproduces the serial trigger sequence. Workers share the instance
+  // read-only and write only their own unit, so the phase is
+  // data-race-free by construction.
+  struct PlanUnit {
     uint32_t rule = 0;
     uint32_t pivot = 0;
-    std::vector<Binding> found;
+    bool planned = false;  ///< Runs the compiled plan (vs. backtracking).
+    BindingSegment rows;
     uint64_t visits = 0;
     bool budget_exhausted = false;
     bool governor_tripped = false;
   };
-  std::vector<DiscoveryUnit> units;
+  std::size_t unit_count = 0;
   for (uint32_t r = 0; r < rules_.size(); ++r) {
-    const std::size_t body_size = rules_.rule(r).body().size();
-    for (std::size_t pivot = 0; pivot < body_size; ++pivot) {
-      DiscoveryUnit unit;
-      unit.rule = r;
-      unit.pivot = static_cast<uint32_t>(pivot);
-      units.push_back(std::move(unit));
+    unit_count += rules_.rule(r).body().size();
+  }
+  // Sized up front (BindingSegment pins units in place — no regrowth).
+  std::vector<PlanUnit> units(unit_count);
+  {
+    std::size_t u = 0;
+    for (uint32_t r = 0; r < rules_.size(); ++r) {
+      const Tgd& rule = rules_.rule(r);
+      for (std::size_t pivot = 0; pivot < rule.body().size(); ++pivot, ++u) {
+        PlanUnit& unit = units[u];
+        unit.rule = r;
+        unit.pivot = static_cast<uint32_t>(pivot);
+        unit.planned = use_plans && plans_.plan(r).plannable;
+        // Plan rows are charged to the budget. Backtracking rows, like the
+        // pending rows and key tables, are not, so the engines' charges
+        // differ only by the plan segments.
+        if (unit.planned) {
+          unit.rows.SetMemoryBudget(memory_budget_.get());
+        } else {
+          unit.rows.SetWidth(rule.num_variables());
+        }
+      }
+    }
+  }
+
+  // This round's depth-zero conjunct choice per plannable rule — the one
+  // instance-dependent decision of a (<= 2)-conjunct backtracking search.
+  // The instance is frozen for the whole phase, so resolving it once here
+  // pins every unit's enumeration order to the serial engine's.
+  if (use_plans) {
+    round_first_.assign(rules_.size(), kNoRule);
+    for (uint32_t r = 0; r < rules_.size(); ++r) {
+      const RuleJoinPlan& plan = plans_.plan(r);
+      if (!plan.plannable) continue;
+      const uint32_t first = ChooseFirstConjunct(instance_, plan);
+      round_first_[r] = first;
+      std::vector<uint32_t>& order = stats_.per_rule[r].plan_order;
+      order.clear();
+      for (const PlanStep& step : plan.orders[first]) {
+        order.push_back(step.conjunct);
+      }
     }
   }
 
   // Budgets are snapshotted at round start and granted to every unit in
   // full: a worker cannot know how much budget its siblings are spending.
   // When no cap ends up binding — checked after the join below — every
-  // unit runs to completion just like the serial loop and the merge is
-  // exact. When a cap does bind, the phase is re-run serially (see the
-  // fallback below) so that capped runs, too, are bit-identical to
-  // discovery_threads == 1.
+  // unit ran to completion just like the serial loop and the merge is
+  // exact. The plan executor charges the same per-node visit counts the
+  // backtracking search accrues, so the checks compare like with like.
   const uint64_t join_budget = options_.max_join_work > join_work_
                                    ? options_.max_join_work - join_work_
                                    : 0;
@@ -561,174 +578,6 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverParallel(
   // workers publish the abort outcome here (first writer wins is fine —
   // outcomes from concurrent trips are interchangeable) and every worker
   // checks it before starting the next unit.
-  std::atomic<int> abort_outcome{-1};
-  Pool(num_threads)->ParallelFor(units.size(), [&](uint64_t u) {
-    if (abort_outcome.load(std::memory_order_relaxed) >= 0) return;
-    DiscoveryUnit& unit = units[u];
-    ChaseOutcome unit_outcome;
-    if (GovernorStop(FaultSite::kDiscovery, u, &unit_outcome)) {
-      abort_outcome.store(static_cast<int>(unit_outcome),
-                          std::memory_order_relaxed);
-      return;
-    }
-    static MetricHistogram* const unit_hist =
-        MetricsRegistry::Global().Histogram("chase.discovery_unit_fallback_ns");
-    LatencyTimer unit_timer(unit_hist);
-    const Tgd& rule = rules_.rule(unit.rule);
-    const std::size_t body_size = rule.body().size();
-    HomomorphismFinder finder(instance_);
-    HomSearchOptions search;
-    search.watermark = watermark;
-    search.ranges.assign(body_size, MatchRange::kAll);
-    for (std::size_t i = 0; i < unit.pivot; ++i) {
-      search.ranges[i] = MatchRange::kOldOnly;
-    }
-    search.ranges[unit.pivot] = MatchRange::kDeltaOnly;
-    search.max_candidate_visits = join_budget;
-    search.visits = &unit.visits;
-    search.budget_exhausted = &unit.budget_exhausted;
-    search.governor = &governor_;
-    search.governor_tripped = &unit.governor_tripped;
-    finder.FindAllWithOptions(
-        rule.body(), rule.num_variables(), search, Binding(),
-        [&unit, local_found_cap](const Binding& binding) {
-          unit.found.push_back(binding);
-          if (unit.found.size() >= local_found_cap) {
-            unit.budget_exhausted = true;
-            return false;
-          }
-          return true;
-        });
-    if (unit.governor_tripped) {
-      abort_outcome.store(static_cast<int>(OutcomeOf(governor_.Check())),
-                          std::memory_order_relaxed);
-    }
-  });
-
-  uint64_t total_visits = 0;
-  uint64_t total_found = 0;
-  bool any_exhausted = false;
-  for (const DiscoveryUnit& unit : units) {
-    total_visits += unit.visits;
-    total_found += unit.found.size();
-    any_exhausted |= unit.budget_exhausted;
-  }
-  if (abort_outcome.load(std::memory_order_relaxed) >= 0) {
-    // Work accounting is merged even when the phase aborted, so partial
-    // stats stay truthful.
-    join_work_ += total_visits;
-    if (any_exhausted) *capped = true;
-    *stopped = true;
-    *stop_outcome =
-        static_cast<ChaseOutcome>(abort_outcome.load(std::memory_order_relaxed));
-    return {};
-  }
-
-  // Cap-adjacent rounds fall back to the serial engine wholesale. A
-  // binding cap stops the serial loop mid-search at a point that depends
-  // on cumulative spending across units — unreconstructible from per-unit
-  // results that each ran against the full snapshot. Re-running serially
-  // (discarding the parallel phase's work and accounting) keeps capped
-  // runs bit-identical to discovery_threads == 1, and costs at most one
-  // extra discovery pass per chase: a capped round is terminal.
-  if (any_exhausted || total_visits >= join_budget ||
-      total_found >= local_found_cap) {
-    last_parallel_ = false;
-    return DiscoverSerial(watermark, capped, stopped, stop_outcome);
-  }
-
-  // Deterministic merge in (rule, pivot, discovery) order — the exact
-  // order the serial engine discovers in — re-running the shared-state
-  // steps (dedup against applied_keys_, counter updates) that workers
-  // could not touch concurrently. No cap checks here: the fallback above
-  // guarantees total_visits < join_budget and total_found <
-  // min(hom_budget, step_budget), so no cap can trip during the merge.
-  join_work_ += total_visits;
-  std::vector<PendingTrigger> pending;
-  for (const DiscoveryUnit& unit : units) {
-    for (const Binding& binding : unit.found) {
-      ++hom_discoveries_;
-      std::vector<uint32_t> key = TriggerKey(unit.rule, binding);
-      if (applied_keys_.insert(std::move(key)).second) {
-        ++stats_.per_rule[unit.rule].discovered;
-        pending.push_back(PendingTrigger{unit.rule, binding});
-      }
-    }
-  }
-  return pending;
-}
-
-std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
-    AtomId watermark, bool* capped, bool* stopped, ChaseOutcome* stop_outcome,
-    uint32_t num_threads) {
-  // Same unit decomposition and merge discipline as DiscoverParallel;
-  // what changes is the per-unit engine. Plannable rules execute their
-  // compiled plan set-at-a-time into a columnar segment; non-plannable
-  // rules run the backtracking search into a Binding buffer. Either way a
-  // unit's results arrive in the exact order the serial engine discovers
-  // them, so the unit-order merge reproduces the serial trigger sequence.
-  struct PlanUnit {
-    uint32_t rule = 0;
-    uint32_t pivot = 0;
-    bool planned = false;        ///< Runs the compiled plan (vs. fallback).
-    BindingSegment rows;         ///< Plan-path results.
-    std::vector<Binding> found;  ///< Backtracking-path results.
-    uint64_t visits = 0;
-    bool budget_exhausted = false;
-    bool governor_tripped = false;
-  };
-  std::size_t unit_count = 0;
-  for (uint32_t r = 0; r < rules_.size(); ++r) {
-    unit_count += rules_.rule(r).body().size();
-  }
-  // Sized up front (BindingSegment pins units in place — no regrowth).
-  std::vector<PlanUnit> units(unit_count);
-  {
-    std::size_t u = 0;
-    for (uint32_t r = 0; r < rules_.size(); ++r) {
-      const std::size_t body_size = rules_.rule(r).body().size();
-      for (std::size_t pivot = 0; pivot < body_size; ++pivot, ++u) {
-        units[u].rule = r;
-        units[u].pivot = static_cast<uint32_t>(pivot);
-        units[u].planned = plans_.plan(r).plannable;
-        units[u].rows.SetMemoryBudget(memory_budget_.get());
-      }
-    }
-  }
-
-  // This round's depth-zero conjunct choice per plannable rule — the one
-  // instance-dependent decision of a (<= 2)-conjunct backtracking search.
-  // The instance is frozen for the whole phase, so resolving it once here
-  // pins every unit's enumeration order to the serial engine's.
-  round_first_.assign(rules_.size(), kNoRule);
-  for (uint32_t r = 0; r < rules_.size(); ++r) {
-    const RuleJoinPlan& plan = plans_.plan(r);
-    if (!plan.plannable) continue;
-    const uint32_t first = ChooseFirstConjunct(instance_, plan);
-    round_first_[r] = first;
-    std::vector<uint32_t>& order = stats_.per_rule[r].plan_order;
-    order.clear();
-    for (const PlanStep& step : plan.orders[first]) {
-      order.push_back(step.conjunct);
-    }
-  }
-
-  // Budget snapshots, abort protocol and the cap-adjacent serial rerun
-  // are identical to DiscoverParallel (see the comments there); the plan
-  // executor charges the same per-node visit counts the backtracking
-  // search accrues, so the post-hoc cap checks compare like with like.
-  const uint64_t join_budget = options_.max_join_work > join_work_
-                                   ? options_.max_join_work - join_work_
-                                   : 0;
-  const uint64_t hom_budget =
-      options_.max_hom_discoveries > hom_discoveries_
-          ? options_.max_hom_discoveries - hom_discoveries_
-          : 0;
-  const uint64_t step_budget = options_.max_steps > applied_triggers_
-                                   ? options_.max_steps - applied_triggers_
-                                   : 0;
-  const uint64_t local_found_cap = std::min(hom_budget, step_budget);
-
   std::atomic<int> abort_outcome{-1};
   const PlanExecutor executor(instance_);
   const auto run_unit = [&](uint64_t u) {
@@ -775,8 +624,8 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
       finder.FindAllWithOptions(
           rule.body(), rule.num_variables(), search, Binding(),
           [&unit, local_found_cap](const Binding& binding) {
-            unit.found.push_back(binding);
-            if (unit.found.size() >= local_found_cap) {
+            unit.rows.AppendRow(binding.data());
+            if (unit.rows.rows() >= local_found_cap) {
               unit.budget_exhausted = true;
               return false;
             }
@@ -802,10 +651,12 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
   bool any_exhausted = false;
   for (const PlanUnit& unit : units) {
     total_visits += unit.visits;
-    total_found += unit.planned ? unit.rows.rows() : unit.found.size();
+    total_found += unit.rows.rows();
     any_exhausted |= unit.budget_exhausted;
   }
   if (abort_outcome.load(std::memory_order_relaxed) >= 0) {
+    // Work accounting is merged even when the phase aborted, so partial
+    // stats stay truthful.
     join_work_ += total_visits;
     if (any_exhausted) *capped = true;
     *stopped = true;
@@ -814,13 +665,13 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
     return {};
   }
 
-  // Cap-adjacent rounds re-run on the backtracking path wholesale, for
-  // the same reason DiscoverParallel does: where exactly a cumulative cap
-  // stops the serial loop is unreconstructible from per-unit results that
-  // each ran against the full budget snapshot. Visit parity makes this
-  // check exact — the plan engine charged precisely the visits the serial
-  // engine would have — so plan-on runs cap on the same rounds, at the
-  // same points, as plan-off runs.
+  // Cap-adjacent rounds fall back to DiscoverSerial wholesale. A binding
+  // cap stops the serial loop mid-search at a point that depends on
+  // cumulative spending across units — unreconstructible from per-unit
+  // results that each ran against the full snapshot. Re-running serially
+  // (discarding this phase's work and accounting) keeps capped runs
+  // bit-identical to plans-off discovery_threads == 1, and costs at most
+  // one extra discovery pass per chase: a capped round is terminal.
   if (any_exhausted || total_visits >= join_budget ||
       total_found >= local_found_cap) {
     last_parallel_ = false;
@@ -830,6 +681,14 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
     return DiscoverSerial(watermark, capped, stopped, stop_outcome);
   }
 
+  // Deterministic merge in (rule, pivot, discovery) order — the exact
+  // order the serial engine discovers in — running the shared-state steps
+  // (dedup, counters) that workers could not touch concurrently. No cap
+  // checks here: the fallback above guarantees total_visits < join_budget
+  // and total_found < min(hom_budget, step_budget), so no cap can trip.
+  static MetricHistogram* const merge_hist =
+      MetricsRegistry::Global().Histogram("chase.discovery_merge_ns");
+  LatencyTimer merge_timer(merge_hist);
   join_work_ += total_visits;
   std::vector<PendingTrigger> pending;
   for (const PlanUnit& unit : units) {
@@ -837,27 +696,11 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
       ++last_plan_units_;
       ++stats_.per_rule[unit.rule].plan_rotations;
       last_binding_rows_ += unit.rows.rows();
-      const uint32_t width = unit.rows.width();
-      for (uint64_t i = 0; i < unit.rows.rows(); ++i) {
-        const Term* row = unit.rows.row(i);
-        ++hom_discoveries_;
-        std::vector<uint32_t> key = TriggerKeyRow(unit.rule, row);
-        if (applied_keys_.insert(std::move(key)).second) {
-          ++stats_.per_rule[unit.rule].discovered;
-          pending.push_back(
-              PendingTrigger{unit.rule, Binding(row, row + width)});
-        }
-      }
     } else {
       ++last_fallback_units_;
-      for (const Binding& binding : unit.found) {
-        ++hom_discoveries_;
-        std::vector<uint32_t> key = TriggerKey(unit.rule, binding);
-        if (applied_keys_.insert(std::move(key)).second) {
-          ++stats_.per_rule[unit.rule].discovered;
-          pending.push_back(PendingTrigger{unit.rule, binding});
-        }
-      }
+    }
+    for (uint64_t i = 0; i < unit.rows.rows(); ++i) {
+      AdmitTrigger(unit.rule, unit.rows.row(i), &pending);
     }
   }
   return pending;
@@ -869,8 +712,9 @@ void ChaseRun::UpdateStatsPeaks() {
       stats_.peak_position_index_keys, instance_.PositionIndexKeys());
   stats_.peak_position_index_entries = std::max(
       stats_.peak_position_index_entries, instance_.PositionIndexEntries());
-  stats_.peak_dedup_keys =
-      std::max<uint64_t>(stats_.peak_dedup_keys, applied_keys_.size());
+  uint64_t dedup_keys = 0;
+  for (const TriggerKeyTable& keys : applied_keys_) dedup_keys += keys.size();
+  stats_.peak_dedup_keys = std::max(stats_.peak_dedup_keys, dedup_keys);
   stats_.peak_memory_bytes =
       std::max(stats_.peak_memory_bytes, memory_budget_->peak_bytes());
   stats_.memory_in_use_bytes = memory_budget_->in_use_bytes();
@@ -1053,7 +897,7 @@ ChaseOutcome ChaseRun::ExecuteLoop(const AtomObserver& observer) {
         const Tgd& rule = rules_.rule(trigger.rule);
         if (options_.variant == ChaseVariant::kRestricted) {
           const HeadCheck check =
-              CheckHeadSatisfied(rule, trigger.binding, &outcome);
+              CheckHeadSatisfied(rule, PendingRow(trigger), &outcome);
           if (check == HeadCheck::kStopped) {
             apply_ok = false;
             break;
@@ -1064,8 +908,8 @@ ChaseOutcome ChaseRun::ExecuteLoop(const AtomObserver& observer) {
                        // (monotone).
           }
         }
-        const bool applied =
-            ApplyTrigger(trigger.rule, trigger.binding, observer, &outcome);
+        const bool applied = ApplyTrigger(trigger.rule, PendingRow(trigger),
+                                          observer, &outcome);
         if (trace_triggers) {
           const uint64_t now_ns = tracer.NowNs();
           tracer.RecordComplete(TraceCategory::kChase, "chase.apply_rule",

@@ -6,7 +6,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "base/governor.h"
@@ -15,6 +14,7 @@
 #include "chase/batch_apply.h"
 #include "chase/join_plan.h"
 #include "chase/plan_executor.h"
+#include "chase/trigger_key_table.h"
 #include "model/tgd.h"
 #include "storage/homomorphism.h"
 #include "storage/instance.h"
@@ -290,10 +290,12 @@ struct RoundStats {
   uint64_t batch_blocks = 0;
   /// Discovery units executed by the compiled-plan pipeline this round.
   uint64_t plan_units = 0;
-  /// Discovery units that ran the backtracking search instead: units of
-  /// non-plannable rules, or — when a discovery cap bound mid-round —
-  /// every unit of the round (cap-adjacent rounds re-run on the legacy
-  /// path wholesale so capped runs stay bit-identical).
+  /// Discovery units that ran the backtracking search as units of the
+  /// unit engine instead: units of non-plannable rules, every unit of a
+  /// parallel round with join_plans off, or — when a discovery cap bound
+  /// mid-round — every unit of the round (cap-adjacent rounds re-run on
+  /// the serial backtracking path wholesale so capped runs stay
+  /// bit-identical). 0 on plans-off serial rounds.
   uint64_t fallback_units = 0;
   /// Binding rows the plan units materialized (pre-dedup homomorphisms
   /// that flowed through columnar segments instead of callbacks).
@@ -402,16 +404,13 @@ class ChaseRun {
   uint64_t join_work() const { return join_work_; }
   const ChaseStats& stats() const { return stats_; }
 
-  /// Variant-specific dedup key: rule id followed by the raw images of the
-  /// relevant variables (all universals for oblivious, frontier otherwise).
-  /// Exposed for the termination deciders' pump-replay verification.
-  std::vector<uint32_t> TriggerKey(uint32_t rule_index,
-                                   const Binding& binding) const;
-
-  /// True if a trigger with this key has already been applied (or marked
-  /// satisfied, for the restricted variant).
-  bool WasKeyApplied(const std::vector<uint32_t>& key) const {
-    return applied_keys_.find(key) != applied_keys_.end();
+  /// The keys of rule `rule_index`'s triggers applied so far (or marked
+  /// satisfied, for the restricted variant). Its key variables are the
+  /// variant's dedup projection: all universals for oblivious, the
+  /// frontier otherwise. Exposed for the termination deciders'
+  /// pump-replay verification, which probes it with binding rows.
+  const TriggerKeyTable& applied_keys(uint32_t rule_index) const {
+    return applied_keys_[rule_index];
   }
 
  private:
@@ -420,11 +419,22 @@ class ChaseRun {
   /// delegate here, then seed.
   ChaseRun(const RuleSet& rules, ChaseOptions options);
 
-  /// A discovered, deduplicated trigger awaiting application.
+  /// A discovered, deduplicated trigger awaiting application: its rule
+  /// and the offset of its binding row (the rule's num_variables() terms,
+  /// indexed by VarId) in pending_rows_. Reordering a round permutes these
+  /// records; the rows stay put.
   struct PendingTrigger {
     uint32_t rule;
-    Binding binding;
+    uint32_t offset;
   };
+
+  const Term* PendingRow(const PendingTrigger& trigger) const {
+    return pending_rows_.data() + trigger.offset;
+  }
+
+  /// Writes `atom`'s arguments under binding row `binding` into *out.
+  static void SubstituteRow(const Atom& atom, const Term* binding,
+                            std::vector<Term>* out);
 
   /// Outcome of one restricted-chase head-satisfaction check.
   enum class HeadCheck {
@@ -435,17 +445,18 @@ class ChaseRun {
   };
 
   /// Governed head-satisfaction check: true iff the rule head, under the
-  /// frontier part of `binding`, already maps into the instance. Shared
-  /// by the batch and per-trigger paths so join-work accounting and abort
-  /// points are identical. Checkpoints at FaultSite::kHeadCheck on entry
-  /// and threads the governor + join budget into the search; full rules
-  /// take a ground fast path (one dedup probe per head atom, counted as
-  /// one join-work visit each).
-  HeadCheck CheckHeadSatisfied(const Tgd& rule, const Binding& binding,
+  /// frontier part of binding row `binding`, already maps into the
+  /// instance. Shared by the batch and per-trigger paths so join-work
+  /// accounting and abort points are identical. Checkpoints at
+  /// FaultSite::kHeadCheck on entry and threads the governor + join
+  /// budget into the search; full rules take a ground fast path (one
+  /// dedup probe per head atom, counted as one join-work visit each).
+  HeadCheck CheckHeadSatisfied(const Tgd& rule, const Term* binding,
                                ChaseOutcome* outcome);
 
-  /// Applies one trigger; returns false if a resource cap was hit.
-  bool ApplyTrigger(uint32_t rule_index, const Binding& binding,
+  /// Applies one trigger (`binding` is its row); returns false if a
+  /// resource cap was hit.
+  bool ApplyTrigger(uint32_t rule_index, const Term* binding,
                     const AtomObserver& observer, ChaseOutcome* outcome);
 
   /// Set-at-a-time application of a round's pending triggers (defined in
@@ -477,38 +488,40 @@ class ChaseRun {
 
   /// One round of semi-naive trigger discovery: every homomorphism whose
   /// image touches an atom with id >= `watermark`, deduplicated through
-  /// applied_keys_, in deterministic (rule, pivot, discovery) order.
-  /// Dispatches to the serial or parallel engine per discovery_threads;
-  /// both produce identical results. Sets *capped when a discovery cap
-  /// was hit (results may then be incomplete); sets *stopped and
-  /// *stop_outcome when the governor or fault injector tripped mid-phase
-  /// (the returned triggers are then partial and must not be applied).
+  /// applied_keys_, in deterministic (rule, pivot, discovery) order. The
+  /// survivors' binding rows land in pending_rows_ (cleared first).
+  /// Plans-off serial rounds run DiscoverSerial; everything else runs
+  /// DiscoverPlanned; both produce identical results. Sets *capped when a
+  /// discovery cap was hit (results may then be incomplete); sets
+  /// *stopped and *stop_outcome when the governor or fault injector
+  /// tripped mid-phase (the returned triggers are then partial and must
+  /// not be applied).
   std::vector<PendingTrigger> DiscoverTriggers(AtomId watermark, bool* capped,
                                                bool* stopped,
                                                ChaseOutcome* stop_outcome);
+  /// Backtracking engine: one search per (rule, pivot) unit, deduping
+  /// each homomorphism as it is found and checking the caps after each.
   std::vector<PendingTrigger> DiscoverSerial(AtomId watermark, bool* capped,
                                              bool* stopped,
                                              ChaseOutcome* stop_outcome);
-  std::vector<PendingTrigger> DiscoverParallel(AtomId watermark, bool* capped,
-                                               bool* stopped,
-                                               ChaseOutcome* stop_outcome,
-                                               uint32_t num_threads);
-  /// Compiled-plan engine: plannable rules run the set-at-a-time
-  /// PlanExecutor per (rule, pivot) unit, non-plannable rules run the
-  /// backtracking search into per-unit buffers; `num_threads` == 1 runs
-  /// the units inline, > 1 fans them out over the pool. Candidates merge
-  /// deterministically in unit order. Rounds where any discovery cap
-  /// binds are re-run wholesale through DiscoverSerial so cap-adjacent
-  /// behavior stays bit-identical with plans off.
+  /// Unit engine: with `use_plans`, plannable rules run the set-at-a-time
+  /// PlanExecutor per (rule, pivot) unit; every other unit runs the
+  /// backtracking search. Either way a unit fills its own columnar
+  /// buffer; `num_threads` == 1 runs the units inline, > 1 fans them out
+  /// over the pool. One merge then dedups the rows in unit order. Rounds
+  /// where any discovery cap binds are re-run wholesale through
+  /// DiscoverSerial so cap-adjacent behavior stays bit-identical.
   std::vector<PendingTrigger> DiscoverPlanned(AtomId watermark, bool* capped,
                                               bool* stopped,
                                               ChaseOutcome* stop_outcome,
-                                              uint32_t num_threads);
+                                              uint32_t num_threads,
+                                              bool use_plans);
 
-  /// TriggerKey over a columnar binding row (width = the rule's variable
-  /// count) instead of a Binding vector.
-  std::vector<uint32_t> TriggerKeyRow(uint32_t rule_index,
-                                      const Term* row) const;
+  /// The shared dedup step of both engines: counts one homomorphism and,
+  /// when `row`'s key is new to the rule's table, counts it discovered and
+  /// appends it to `pending` (its row copied into pending_rows_).
+  void AdmitTrigger(uint32_t rule_index, const Term* row,
+                    std::vector<PendingTrigger>* pending);
 
   /// Estimated join work for this round's discovery pass: for each
   /// (rule, pivot) unit, delta cardinality of the pivot predicate times
@@ -538,10 +551,11 @@ class ChaseRun {
   std::vector<AtomProvenance> provenance_;
   std::vector<TriggerRecord> triggers_;
 
-  struct KeyHash {
-    std::size_t operator()(const std::vector<uint32_t>& key) const noexcept;
-  };
-  std::unordered_set<std::vector<uint32_t>, KeyHash> applied_keys_;
+  /// Applied trigger keys, one table per rule (see applied_keys()).
+  std::vector<TriggerKeyTable> applied_keys_;
+  /// The current round's pending binding rows (see PendingTrigger). Like
+  /// the key tables, not charged to the memory budget.
+  std::vector<Term> pending_rows_;
 
   /// Lazily created pool for parallel discovery when the caller did not
   /// supply ChaseOptions::executor. Lives for the rest of the run so

@@ -1,6 +1,7 @@
 #include "termination/pump_detector.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -18,12 +19,6 @@ constexpr uint32_t kReplayNullBase = 1u << 29;
 /// signatures (tag value 3 << 30 is unused by Term).
 constexpr uint32_t kNullOccurrenceTag = 3u << 30;
 
-struct VectorHash {
-  std::size_t operator()(const std::vector<uint32_t>& v) const noexcept {
-    return HashRange(v.begin(), v.end());
-  }
-};
-
 struct AtomHash {
   std::size_t operator()(const Atom& a) const noexcept { return HashAtom(a); }
 };
@@ -33,38 +28,54 @@ struct AtomHash {
 PumpDetector::PumpDetector(const ChaseRun& run, PumpDetectorOptions options)
     : run_(run), options_(options) {}
 
-const std::vector<uint32_t>& PumpDetector::TypeOf(AtomId id) {
-  if (id >= type_cache_.size()) type_cache_.resize(id + 1);
-  std::vector<uint32_t>& sig = type_cache_[id];
-  if (!sig.empty()) return sig;
+PumpDetector::TypeRef PumpDetector::TypeOf(AtomId id) {
+  if (id >= types_.size()) types_.resize(id + 1);
+  if (types_[id].size != 0) return types_[id];
   const AtomView atom = run_.instance().atom(id);
-  sig.reserve(atom.arity() + 1);
-  sig.push_back(atom.predicate + 1);  // +1 keeps the signature non-empty
-  std::unordered_map<uint32_t, uint32_t> null_occurrence;
-  for (Term t : atom.args) {
+  const uint64_t offset = type_words_.size();
+  GCHASE_CHECK(offset + atom.arity() < std::numeric_limits<uint32_t>::max());
+  TypeRef ref;
+  ref.offset = static_cast<uint32_t>(offset);
+  ref.size = atom.arity() + 1;
+  type_words_.push_back(atom.predicate + 1);  // a signature never starts at 0
+  uint32_t distinct_nulls = 0;
+  for (uint32_t i = 0; i < atom.arity(); ++i) {
+    const Term t = atom.args[i];
+    uint32_t word = t.raw();
     if (t.IsNull()) {
-      auto [it, inserted] = null_occurrence.emplace(
-          t.raw(), static_cast<uint32_t>(null_occurrence.size()));
-      sig.push_back(kNullOccurrenceTag | it->second);
-    } else {
-      sig.push_back(t.raw());
+      // A null repeats the marker of its first earlier position, or takes
+      // the next unused occurrence number.
+      uint32_t j = 0;
+      while (j < i && atom.args[j] != t) ++j;
+      if (j < i) {
+        word = type_words_[ref.offset + 1 + j];
+      } else {
+        word = kNullOccurrenceTag | distinct_nulls++;
+      }
     }
+    type_words_.push_back(word);
   }
-  return sig;
+  ref.hash = HashRange(type_words_.begin() + ref.offset, type_words_.end());
+  types_[id] = ref;
+  return ref;
+}
+
+bool PumpDetector::SameType(TypeRef a, TypeRef b) const {
+  if (a.hash != b.hash || a.size != b.size) return false;
+  const uint32_t* w = type_words_.data();
+  return std::equal(w + a.offset, w + a.offset + a.size, w + b.offset);
 }
 
 std::optional<PumpCertificate> PumpDetector::OnAtom(AtomId v) {
   const std::vector<AtomProvenance>& prov = run_.provenance();
   GCHASE_CHECK_MSG(!prov.empty() || run_.instance().empty(),
                    "PumpDetector requires provenance tracking");
-  // Copy: later TypeOf() calls may grow the cache and invalidate
-  // references into it.
-  const std::vector<uint32_t> v_type = TypeOf(v);
+  const TypeRef v_type = TypeOf(v);
   uint32_t walked = 0;
   uint32_t attempts = 0;
   for (AtomId u = prov[v].parent; u != kNoAtomId; u = prov[u].parent) {
     if (++walked > options_.max_chain_walk) break;
-    if (TypeOf(u) != v_type) continue;
+    if (!SameType(TypeOf(u), v_type)) continue;
     if (++attempts > options_.max_candidates) break;
     ++replays_attempted_;
     PumpCertificate certificate;
@@ -137,7 +148,7 @@ bool PumpDetector::TryReplay(AtomId u_id, AtomId v_id,
   };
 
   std::unordered_set<Atom, AtomHash> overlay;
-  std::unordered_set<std::vector<uint32_t>, VectorHash> replayed_keys;
+  std::unordered_map<uint32_t, TriggerKeyTable> replayed_keys;  // by rule
   uint32_t fresh_counter = kReplayNullBase;
   GCHASE_CHECK(run_.nulls_created() < kReplayNullBase);
 
@@ -168,31 +179,29 @@ bool PumpDetector::TryReplay(AtomId u_id, AtomId v_id,
       return false;
     }
 
-    std::vector<uint32_t> image_key =
-        run_.TriggerKey(trigger.rule, image_binding);
-    std::vector<uint32_t> original_key =
-        run_.TriggerKey(trigger.rule, trigger.binding);
-
-    if (image_key == original_key) {
+    const TriggerKeyTable& applied = run_.applied_keys(trigger.rule);
+    const std::vector<VarId>& key_vars = applied.key_variables();
+    if (applied.SameKey(image_binding.data(), trigger.binding.data())) {
       // Verbatim no-op: outputs already exist; created nulls map to
       // themselves.
       for (Term n : trigger.created_nulls) phi.emplace(n.raw(), n.raw());
       continue;
     }
 
-    // Fresh replayed trigger: must be globally unapplied and must carry a
-    // current-generation null (so the *next* replay's key is fresh too).
-    if (run_.WasKeyApplied(image_key)) return false;
-    if (replayed_keys.find(image_key) != replayed_keys.end()) return false;
+    // Fresh replayed trigger: must be globally unapplied, must carry a
+    // current-generation null (so the *next* replay's key is fresh too)
+    // and must not repeat an earlier replayed key.
+    if (applied.ContainsRow(image_binding.data())) return false;
     bool carries_generation = false;
-    for (std::size_t i = 1; i < image_key.size(); ++i) {
-      if (generation.count(image_key[i]) != 0) {
+    for (VarId var : key_vars) {
+      if (generation.count(image_binding[var].raw()) != 0) {
         carries_generation = true;
         break;
       }
     }
     if (!carries_generation) return false;
-    replayed_keys.insert(image_key);
+    auto replayed = replayed_keys.try_emplace(trigger.rule, key_vars).first;
+    if (!replayed->second.InsertRow(image_binding.data())) return false;
 
     // Extend phi with fresh nulls for the trigger's created nulls.
     Binding extended = image_binding;

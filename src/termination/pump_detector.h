@@ -66,15 +66,29 @@ class PumpDetector {
   uint64_t replays_attempted() const { return replays_attempted_; }
 
  private:
-  /// Canonical type signature: predicate followed by, per position, the
-  /// constant's packed term or a first-occurrence marker for nulls.
-  const std::vector<uint32_t>& TypeOf(AtomId id);
+  /// Where an atom's type signature sits in type_words_; size 0 marks a
+  /// signature not computed yet (a real one holds at least the predicate).
+  struct TypeRef {
+    uint32_t offset = 0;
+    uint32_t size = 0;
+    uint64_t hash = 0;
+  };
+
+  /// Canonical type signature, computed on first use: predicate + 1
+  /// followed by, per position, the constant's packed term or a
+  /// first-occurrence marker for nulls.
+  TypeRef TypeOf(AtomId id);
+
+  /// Signature equality: hash and size first, then the words.
+  bool SameType(TypeRef a, TypeRef b) const;
 
   bool TryReplay(AtomId u, AtomId v, PumpCertificate* certificate);
 
   const ChaseRun& run_;
   PumpDetectorOptions options_;
-  std::vector<std::vector<uint32_t>> type_cache_;
+  /// Every computed signature, back to back, and each atom's slice of it.
+  std::vector<uint32_t> type_words_;
+  std::vector<TypeRef> types_;
   uint64_t replays_attempted_ = 0;
 };
 

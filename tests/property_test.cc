@@ -13,11 +13,27 @@ namespace gchase {
 namespace {
 
 /// Parameter: (class, seed base). Each test sweeps many seeds.
+/// gtest prints this struct as a byte dump that becomes part of each
+/// test's name, so the padding is spelled out and zeroed: implicit
+/// padding would leak stack garbage (ASLR-dependent addresses) into the
+/// names and make them differ from run to run.
 struct SweepParam {
   RuleClass rule_class;
+  uint32_t padding0 = 0;
   uint64_t seed_base;
   uint32_t num_seeds;
+  uint32_t padding1 = 0;
 };
+static_assert(sizeof(SweepParam) == 24, "no implicit padding");
+
+SweepParam Sweep(RuleClass rule_class, uint64_t seed_base,
+                 uint32_t num_seeds) {
+  SweepParam param;
+  param.rule_class = rule_class;
+  param.seed_base = seed_base;
+  param.num_seeds = num_seeds;
+  return param;
+}
 
 class RandomSweepTest : public ::testing::TestWithParam<SweepParam> {};
 
@@ -212,10 +228,10 @@ TEST_P(RandomSweepTest, PrinterParserRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(
     AllClasses, RandomSweepTest,
     ::testing::Values(
-        SweepParam{RuleClass::kSimpleLinear, 1000, 60},
-        SweepParam{RuleClass::kLinear, 2000, 60},
-        SweepParam{RuleClass::kGuarded, 3000, 40},
-        SweepParam{RuleClass::kGeneral, 4000, 30}),
+        Sweep(RuleClass::kSimpleLinear, 1000, 60),
+        Sweep(RuleClass::kLinear, 2000, 60),
+        Sweep(RuleClass::kGuarded, 3000, 40),
+        Sweep(RuleClass::kGeneral, 4000, 30)),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
       switch (info.param.rule_class) {
         case RuleClass::kSimpleLinear:

@@ -10,7 +10,8 @@
 //                           [--trace-categories=LIST]
 //                           [--metrics-json=FILE]
 //     variant:    restricted (default) | semi-oblivious | oblivious
-//     max_atoms:  resource cap (default 10000)
+//     max_atoms:  resource cap on the instance size, database included
+//                 (default: the database's fact count plus 10000)
 //     --dot:      emit the guarded chase forest in Graphviz DOT instead
 //                 of the atom list (pipe into `dot -Tsvg`)
 //     --stats:    emit the run's ChaseStats as JSON instead of the atom
@@ -72,7 +73,8 @@
 //
 // Exit codes: 0 terminated, 1 I/O or parse error, 2 bad usage,
 // 3 resource cap, 4 deadline exceeded, 5 cancelled, 6 memory budget
-// exceeded.
+// exceeded. A run stopped by a cap (exit 3, 4 or 6) names the cap and
+// the argument that raises it on stderr.
 //
 // The input file holds rules and facts in the library's syntax; see
 // examples/rules/*.dlgp.
@@ -86,6 +88,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "base/thread_pool.h"
@@ -130,6 +133,45 @@ int ExitCodeFor(gchase::ChaseOutcome outcome) {
       return 6;
   }
   return 1;
+}
+
+// Names the cap that stopped a run and how to raise it, or returns an
+// empty string when `outcome` is not a cap stop. The only count cap the
+// CLI sets is max_atoms (`cap_origin` says where its value came from);
+// the other way to a resource limit is running out of labelled-null ids.
+std::string CapMessage(gchase::ChaseOutcome outcome,
+                       const gchase::ChaseRun& run,
+                       const gchase::ChaseOptions& options,
+                       const std::string& cap_origin) {
+  char text[512];
+  switch (outcome) {
+    case gchase::ChaseOutcome::kResourceLimit:
+      if (run.instance().size() > options.max_atoms) {
+        const unsigned long long cap = options.max_atoms;
+        std::snprintf(text, sizeof(text),
+                      "max_atoms=%llu (%s); pass a larger max_atoms as the "
+                      "argument after the variant, e.g. %llu",
+                      cap, cap_origin.c_str(), cap * 2);
+      } else {
+        const unsigned long long nulls = gchase::kMaxLabeledNulls;
+        std::snprintf(text, sizeof(text),
+                      "the labelled-null id space (%llu nulls) is "
+                      "exhausted; it cannot be raised",
+                      nulls);
+      }
+      return text;
+    case gchase::ChaseOutcome::kDeadlineExceeded:
+      return "the --deadline-ms wall-clock budget fired; pass a larger "
+             "--deadline-ms or drop it";
+    case gchase::ChaseOutcome::kMemoryBudgetExceeded:
+      return "the memory budget fired; pass a larger --max-memory-mb or "
+             "drop it";
+    case gchase::ChaseOutcome::kTerminated:
+    case gchase::ChaseOutcome::kAborted:
+    case gchase::ChaseOutcome::kCancelled:
+      break;
+  }
+  return "";
 }
 
 // Flushes the observability side-channels on every exit path (normal,
@@ -425,7 +467,6 @@ int main(int argc, char** argv) {
   }
 
   ChaseOptions options;
-  options.max_atoms = 10000;
   options.track_provenance = want_dot;
   options.discovery_threads = threads;
   options.join_plans = join_plans;
@@ -445,6 +486,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  std::string cap_origin = "given on the command line";
   if (argc > 3) options.max_atoms = std::strtoull(argv[3], nullptr, 10);
 
   // EDB-backed seeding: resolve the database source before constructing
@@ -508,6 +550,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The default atom cap leaves 10000 atoms of room above the database:
+  // a fixed 10000 would stop any large EDB job after its first trigger.
+  if (argc <= 3) {
+    const uint64_t facts =
+        edb != nullptr ? edb->TotalRows() : parsed->facts.size();
+    options.max_atoms = facts + 10000;
+    cap_origin = "the default: " + std::to_string(facts);
+    cap_origin += " database facts + 10000";
+  }
+
   WallTimer timer;
   std::optional<ChaseRun> run;
   if (edb != nullptr) {
@@ -523,6 +575,10 @@ int main(int argc, char** argv) {
   double seconds = timer.ElapsedSeconds();
   PublishChaseMetrics(run->stats());
 
+  const std::string cap = CapMessage(outcome, *run, options, cap_origin);
+  if (!cap.empty()) {
+    std::fprintf(stderr, "%% run stopped by a cap: %s\n", cap.c_str());
+  }
   const bool aborted = outcome == ChaseOutcome::kDeadlineExceeded ||
                        outcome == ChaseOutcome::kCancelled ||
                        outcome == ChaseOutcome::kMemoryBudgetExceeded;
