@@ -70,6 +70,9 @@ inline std::string ChaseStatsToJson(const ChaseStats& stats) {
   out += ", \"parallel_rounds\": " + JsonNumber(stats.parallel_rounds);
   out += ", \"plannable_rules\": " + JsonNumber(uint64_t{stats.plannable_rules});
   out += ", \"load_ms\": " + JsonNumber(stats.load_seconds * 1e3);
+  out += ", \"load_parse_ms\": " +
+         JsonNumber((stats.load_seconds - stats.seed_seconds) * 1e3);
+  out += ", \"load_seed_ms\": " + JsonNumber(stats.seed_seconds * 1e3);
   out += ", \"edb_atoms\": " + JsonNumber(stats.edb_atoms);
   out += ", \"load_bytes\": " + JsonNumber(stats.load_bytes);
   out += ", \"peak\": {";

@@ -81,6 +81,8 @@ def stats_section(stats, max_rounds):
         ("EDB atoms", fmt_count(stats.get("edb_atoms", 0))),
         ("Peak atoms", fmt_count(peak.get("atoms", 0))),
         ("Load time", f"{stats.get('load_ms', 0.0):.3f} ms"),
+        ("Load: parse / open", f"{stats.get('load_parse_ms', 0.0):.3f} ms"),
+        ("Load: seed", f"{stats.get('load_seed_ms', 0.0):.3f} ms"),
         ("Discovery threads", fmt_count(stats.get("discovery_threads", 0))),
         ("Parallel rounds", fmt_count(stats.get("parallel_rounds", 0))),
         ("Plannable rules", fmt_count(stats.get("plannable_rules", 0))),

@@ -9,7 +9,9 @@
 # smoke (the same gate CI's bulk-load-smoke job runs), then the run-report
 # smoke: one instrumented chase run whose stats + metrics + trace-summary
 # artifacts must merge into a markdown run report with the expected
-# sections (the same gate CI's report-smoke job runs).
+# sections (the same gate CI's report-smoke job runs), then the release
+# build: every target under the benchmarking preset (Release + LTO), as
+# CI's release-preset job builds it.
 #
 # Fails fast: the first failing tier stops the run and becomes the exit
 # code, so callers (and CI logs) can tell tiers apart at a glance:
@@ -21,12 +23,14 @@
 #   14  fuzz      differential-oracle campaign found a violation
 #   15  bulkload  1M-atom EDB bulk-load smoke failed
 #   16  report    instrumented run or report generation failed
+#   17  release   release-preset build of every target failed
 #    2  usage     unknown flag
 #
 # A summary table of tier outcomes is printed on every exit path.
 #
 # Usage: scripts/verify.sh [--skip-tsan] [--skip-asan] [--skip-perf]
 #                          [--skip-fuzz] [--skip-bulkload] [--skip-report]
+#                          [--skip-release]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,6 +40,7 @@ skip_perf=0
 skip_fuzz=0
 skip_bulkload=0
 skip_report=0
+skip_release=0
 for arg in "$@"; do
   case "$arg" in
     --skip-tsan) skip_tsan=1 ;;
@@ -44,12 +49,13 @@ for arg in "$@"; do
     --skip-fuzz) skip_fuzz=1 ;;
     --skip-bulkload) skip_bulkload=1 ;;
     --skip-report) skip_report=1 ;;
+    --skip-release) skip_release=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
 
-tier_names=(tier-1 tsan asan perf fuzz bulkload report)
-tier_codes=(10 11 12 13 14 15 16)
+tier_names=(tier-1 tsan asan perf fuzz bulkload report release)
+tier_codes=(10 11 12 13 14 15 16 17)
 declare -A tier_status
 for name in "${tier_names[@]}"; do tier_status[$name]=skipped; done
 
@@ -126,13 +132,16 @@ tier_asan() {
   # deadline, cancellation, or injected fault leaves a partial instance
   # and stats behind; this tier proves the early returns don't leak or
   # touch freed state, and that no abort path hangs (ctest enforces the
-  # per-test TIMEOUT).
+  # per-test TIMEOUT). The symbol-table, parser, printer and instance-I/O
+  # tests ride along: SymbolTable::NameOf views point into a growable
+  # arena, so a view held across an intern is a use-after-free here.
   cmake --preset asan &&
   cmake --build build-asan -j"$(nproc)" \
     --target governor_test egd_test chase_limits_test decider_test \
-             join_plan_test memory_budget_test edb_test trigger_dedup_test &&
+             join_plan_test memory_budget_test edb_test trigger_dedup_test \
+             model_test parser_test io_test &&
   (cd build-asan && ctest -j"$(nproc)" \
-    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|JoinPlan|BindingSegment|PlanExecutor|MemoryBudget|InstanceBudget|ChaseMemory|BulkLoad|EdbSeed|EdbSnapshot|TriggerKeyTable|MergedDiscovery')
+    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|JoinPlan|BindingSegment|PlanExecutor|MemoryBudget|InstanceBudget|ChaseMemory|BulkLoad|EdbSeed|EdbSnapshot|TriggerKeyTable|MergedDiscovery|SymbolTable|Parser|Printer|InstanceIo')
 }
 
 tier_perf() {
@@ -165,7 +174,8 @@ tier_bulkload() {
   # deterministic 1M-atom CSV goes through edb_gen -> chase_cli
   # --load-csv under a 4 GiB budget; the run must exit 0 and the stats
   # JSON must carry the load-phase fields (1M EDB atoms, a real byte
-  # count, no budget denials). Then the same job without max_atoms: the
+  # count, both load parts, no budget denials); MB/s is the CSV parse
+  # alone, not parse + seed. Then the same job without max_atoms: the
   # default cap (database + 10000) must stop it with exit 3 and name
   # itself on stderr.
   cmake --build --preset default -j"$(nproc)" --target chase_cli edb_gen &&
@@ -180,10 +190,13 @@ stats = json.load(open("build/bulkload-stats.json"))
 assert stats["edb_atoms"] == 1000000, stats["edb_atoms"]
 assert stats["load_bytes"] > 10_000_000, stats["load_bytes"]
 assert stats["load_ms"] > 0, stats["load_ms"]
+assert stats["load_parse_ms"] > 0, stats["load_parse_ms"]
+assert stats["load_seed_ms"] > 0, stats["load_seed_ms"]
 assert stats["memory"]["denials"] == 0, stats["memory"]
-mb_s = stats["load_bytes"] / 1e6 / (stats["load_ms"] / 1e3)
+mb_s = stats["load_bytes"] / 1e6 / (stats["load_parse_ms"] / 1e3)
 print(f"bulk-load smoke OK: {stats['edb_atoms']} atoms in "
-      f"{stats['load_ms']:.0f} ms ({mb_s:.0f} MB/s)")
+      f"{stats['load_ms']:.0f} ms: parse {stats['load_parse_ms']:.0f} ms "
+      f"({mb_s:.0f} MB/s), seed {stats['load_seed_ms']:.0f} ms")
 EOF
   local code=0
   ./build/tools/chase_cli build/bulkload-rules.dlgp restricted \
@@ -255,6 +268,14 @@ print(f"report smoke OK: build/report.md ({len(report)} bytes)")
 PYEOF
 }
 
+tier_release() {
+  # Tier 8 (release build): the documented benchmarking configuration
+  # (Release, -O3, LTO) must build every target, as CI's release-preset
+  # job checks. Build only; the tier-1 suite already ran the tests.
+  cmake --preset release &&
+  cmake --build build-release -j"$(nproc)"
+}
+
 run_tier tier-1 tier1
 if [[ "$skip_tsan" == 0 ]]; then run_tier tsan tier_tsan; fi
 if [[ "$skip_asan" == 0 ]]; then run_tier asan tier_asan; fi
@@ -262,5 +283,6 @@ if [[ "$skip_perf" == 0 ]]; then run_tier perf tier_perf; fi
 if [[ "$skip_fuzz" == 0 ]]; then run_tier fuzz tier_fuzz; fi
 if [[ "$skip_bulkload" == 0 ]]; then run_tier bulkload tier_bulkload; fi
 if [[ "$skip_report" == 0 ]]; then run_tier report tier_report; fi
+if [[ "$skip_release" == 0 ]]; then run_tier release tier_release; fi
 
 echo "verify: OK"

@@ -334,13 +334,16 @@ struct ChaseStats {
   /// Pre-size requests the budget denied (each denial stops the run, so
   /// this exceeds 1 only for a shared budget).
   uint64_t memory_denials = 0;
-  /// Load-phase observability (serialized as load_ms / edb_atoms /
-  /// load_bytes): wall time of seeding the instance from the database —
-  /// for an EDB-backed run this includes the bulk loader's parse (or
-  /// snapshot open) time —, distinct database atoms seeded, and input
-  /// bytes the loader consumed (0 for an in-memory std::vector<Atom>
-  /// database).
+  /// Load-phase observability (serialized as load_ms / load_parse_ms /
+  /// load_seed_ms / edb_atoms / load_bytes): wall time of the whole load
+  /// phase — for an EDB-backed run the bulk loader's parse (or snapshot
+  /// open) time plus the seed —, the seed alone (interning the database's
+  /// constants and inserting its rows; all of the load phase for an
+  /// in-memory std::vector<Atom> database), distinct database atoms
+  /// seeded, and input bytes the loader consumed (0 for a
+  /// std::vector<Atom> database). The parse part is load − seed.
   double load_seconds = 0.0;
+  double seed_seconds = 0.0;
   uint64_t edb_atoms = 0;
   uint64_t load_bytes = 0;
 };

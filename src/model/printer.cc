@@ -6,7 +6,7 @@ std::string TermToString(Term term, const Vocabulary& vocabulary,
                          const std::vector<std::string>* variable_names) {
   switch (term.kind()) {
     case Term::Kind::kConstant:
-      return vocabulary.constants.NameOf(term.index());
+      return std::string(vocabulary.constants.NameOf(term.index()));
     case Term::Kind::kVariable:
       if (variable_names != nullptr && term.index() < variable_names->size()) {
         return (*variable_names)[term.index()];

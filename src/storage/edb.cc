@@ -1,124 +1,12 @@
 #include "storage/edb.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "base/check.h"
 #include "model/term.h"
 #include "obs/trace.h"
 
 namespace gchase {
-
-namespace {
-
-/// Largest dictionary id a Term::Constant can carry (30 index bits).
-constexpr uint32_t kMaxDictionaryIds = 1u << 30;
-
-/// FNV-1a over 8-byte words (one multiply per word, not per byte — the
-/// loader hashes every field of every row), length folded into the tail
-/// word, splitmix64-finalized: the dedup table indexes with a
-/// power-of-two mask, so the low bits must avalanche.
-uint64_t HashName(std::string_view name) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  const char* p = name.data();
-  std::size_t n = name.size();
-  while (n >= 8) {
-    uint64_t word;
-    std::memcpy(&word, p, 8);
-    h = (h ^ word) * 0x100000001b3ULL;
-    p += 8;
-    n -= 8;
-  }
-  uint64_t tail = static_cast<uint64_t>(n) << 56;  // n < 8: top byte free
-  if (n > 0) std::memcpy(&tail, p, n);
-  h = (h ^ tail) * 0x100000001b3ULL;
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
-}
-
-}  // namespace
-
-bool InMemoryEdb::Dictionary::InternHashed(std::string_view name,
-                                           uint64_t hash, uint32_t* id,
-                                           InMemoryEdb* owner) {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = static_cast<std::size_t>(hash) & mask;
-  while (slots_[slot].id != kEmptySlot) {
-    if (slots_[slot].hash == hash && StoredName(slots_[slot].id) == name) {
-      *id = slots_[slot].id;
-      return true;
-    }
-    slot = (slot + 1) & mask;
-  }
-  const uint32_t count = size();
-  if (count >= kMaxDictionaryIds) return false;
-  {
-    const uint64_t before = VectorBytes(bytes_) + VectorBytes(offsets_);
-    bytes_.insert(bytes_.end(), name.begin(), name.end());
-    offsets_.push_back(bytes_.size());
-    owner->AccountGrowth(before, VectorBytes(bytes_) + VectorBytes(offsets_));
-  }
-  slots_[slot].hash = hash;
-  slots_[slot].id = count;
-  *id = count;
-  return true;
-}
-
-bool InMemoryEdb::Dictionary::Intern(std::string_view name, uint32_t* id,
-                                     InMemoryEdb* owner) {
-  if ((static_cast<std::size_t>(size()) + 1) * 2 > slots_.size()) {
-    Grow(owner, slots_.empty() ? 1024 : slots_.size() * 2);
-  }
-  return InternHashed(name, HashName(name), id, owner);
-}
-
-bool InMemoryEdb::Dictionary::InternBatch(const std::string_view* names,
-                                          uint32_t* ids, std::size_t count,
-                                          InMemoryEdb* owner) {
-  // Hash a chunk, prefetch every chunk member's first probe slot, then
-  // probe. The probes' cache misses overlap instead of serializing — the
-  // table is tens of MB at a million constants, so a dependent
-  // hash-probe-hash-probe chain pays DRAM latency per field.
-  constexpr std::size_t kChunk = 64;
-  uint64_t hashes[kChunk];
-  std::size_t done = 0;
-  while (done < count) {
-    const std::size_t chunk = std::min(kChunk, count - done);
-    while ((static_cast<std::size_t>(size()) + chunk) * 2 > slots_.size()) {
-      Grow(owner, slots_.empty() ? 1024 : slots_.size() * 2);
-    }
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = 0; i < chunk; ++i) {
-      hashes[i] = HashName(names[done + i]);
-      __builtin_prefetch(&slots_[static_cast<std::size_t>(hashes[i]) & mask]);
-    }
-    for (std::size_t i = 0; i < chunk; ++i) {
-      if (!InternHashed(names[done + i], hashes[i], &ids[done + i], owner)) {
-        return false;
-      }
-    }
-    done += chunk;
-  }
-  return true;
-}
-
-void InMemoryEdb::Dictionary::Grow(InMemoryEdb* owner, std::size_t capacity) {
-  const uint64_t before = VectorBytes(slots_);
-  std::vector<Slot> old_slots = std::move(slots_);
-  slots_.assign(capacity, Slot{});
-  owner->AccountGrowth(before, VectorBytes(slots_));
-  const std::size_t mask = capacity - 1;
-  for (const Slot& entry : old_slots) {
-    if (entry.id == kEmptySlot) continue;
-    std::size_t slot = static_cast<std::size_t>(entry.hash) & mask;
-    while (slots_[slot].id != kEmptySlot) slot = (slot + 1) & mask;
-    slots_[slot] = entry;
-  }
-}
 
 StatusOr<uint32_t> InMemoryEdb::GetOrAddTable(std::string_view predicate,
                                               uint32_t arity) {
@@ -182,16 +70,32 @@ Status SeedInstanceFromEdb(const EdbDatabase& edb, Vocabulary* vocabulary,
   EdbSeedStats& out = stats != nullptr ? *stats : local;
   out = EdbSeedStats{};
 
-  // Intern the whole dictionary up front, in dictionary order. Dictionary
-  // order is first-appearance order of the original input stream, so the
-  // constant ids handed out here are exactly the ids the per-atom parser
-  // path would have produced — the root of the EDB/parser bit-identity
-  // contract.
+  // Intern the whole dictionary up front, in dictionary order, through
+  // one reserve and the batched intern. Dictionary order is first-
+  // appearance order of the original input stream, so the constant ids
+  // handed out here are exactly the ids the per-atom parser path would
+  // have produced after the rules' own constants — the root of the
+  // EDB/parser bit-identity contract.
   const EdbDictionary& dictionary = edb.dictionary();
-  std::vector<Term> term_of(dictionary.size());
-  for (uint32_t id = 0; id < dictionary.size(); ++id) {
-    term_of[id] = Term::Constant(vocabulary->constants.Intern(
-        dictionary.NameOf(id)));
+  const uint32_t num_names = dictionary.size();
+  SymbolTable& constants = vocabulary->constants;
+  constants.Reserve(num_names, dictionary.name_bytes());
+  std::vector<Term> term_of(num_names);
+  {
+    constexpr uint32_t kInternChunk = 1024;
+    std::string_view names[kInternChunk];
+    uint32_t ids[kInternChunk] = {};
+    for (uint32_t base = 0; base < num_names; base += kInternChunk) {
+      const uint32_t n = std::min(kInternChunk, num_names - base);
+      for (uint32_t i = 0; i < n; ++i) names[i] = dictionary.NameOf(base + i);
+      if (!constants.InternBatch(names, ids, n)) {
+        return Status::ResourceExhausted(
+            "vocabulary full: more than 2^30 distinct constants");
+      }
+      for (uint32_t i = 0; i < n; ++i) {
+        term_of[base + i] = Term::Constant(ids[i]);
+      }
+    }
   }
 
   // Register every predicate (table order = first-appearance order) and

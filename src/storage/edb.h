@@ -10,6 +10,7 @@
 
 #include "base/memory_budget.h"
 #include "base/status.h"
+#include "model/symbol_table.h"
 #include "model/vocabulary.h"
 #include "storage/instance.h"
 
@@ -21,19 +22,21 @@ namespace gchase {
 ///
 ///  - every distinct constant name is interned once into an EdbDictionary
 ///    in first-appearance order, so a fact row is a fixed-width tuple of
-///    32-bit dictionary ids, not strings;
+///    32-bit dictionary ids, not strings (InMemoryEdb's dictionary is a
+///    SymbolTable, the same flat interner as a Vocabulary's constants);
 ///  - each predicate's facts form one EdbTable: `arity` parallel columns
 ///    of dictionary ids, `rows` entries each, in input order;
 ///  - the whole database can be persisted as a single memory-mappable
 ///    snapshot file (see storage/edb_snapshot.h) and reopened zero-copy.
 ///
-/// Chase runs seed from an EDB through SeedInstanceFromEdb, which interns
-/// the dictionary into the run's Vocabulary in dictionary order and block-
+/// Chase runs seed from an EDB through SeedInstanceFromEdb, which reserves
+/// the run's Vocabulary once for the dictionary's names and bytes, interns
+/// them in dictionary order through SymbolTable::InternBatch, and block-
 /// inserts every table through Instance::TryAddBatch. Because dictionary
 /// order *is* first-appearance order, the constant ids — and therefore
 /// every Term, atom id and downstream chase step — are bit-identical to
-/// parsing the same facts through the per-atom parser path (pinned by
-/// tests/edb_test.cc and bench_e13_bulk_load).
+/// parsing the same facts through the per-atom parser path after the
+/// rules (pinned by tests/edb_test.cc and bench_e13_bulk_load).
 ///
 /// Implementations: InMemoryEdb (the builder the bulk loaders fill; see
 /// storage/bulk_load.h) and MappedEdb (a read-only view over a snapshot
@@ -59,8 +62,11 @@ class EdbDictionary {
   virtual ~EdbDictionary() = default;
   virtual uint32_t size() const = 0;
   /// The name interned under `id`. Views borrow from the dictionary's
-  /// storage and stay valid for its lifetime.
+  /// storage and stay valid for its lifetime once loading is done (an
+  /// InMemoryEdb's arena may move while a loader still interns into it).
   virtual std::string_view NameOf(uint32_t id) const = 0;
+  /// Sum of all names' lengths: with size(), what a copy must reserve.
+  virtual uint64_t name_bytes() const = 0;
 };
 
 /// One predicate's facts: `arity` parallel columns of dictionary ids.
@@ -120,17 +126,19 @@ class InMemoryEdb final : public EdbDatabase {
   /// when the dictionary is full (2^30 entries — the Term constant-index
   /// limit); the caller surfaces that as a resource error.
   bool InternTerm(std::string_view name, uint32_t* id) {
-    return dictionary_.Intern(name, id, this);
+    return InternTermBatch(&name, id, 1);
   }
 
   /// Interns `count` names at once, writing ids[i] for names[i]. Same
-  /// result as `count` InternTerm calls in order (first-appearance ids),
-  /// but hashes a chunk ahead and prefetches the probe slots: at bulk-load
-  /// scale the dedup table lives in DRAM, so overlapping the misses is
-  /// worth ~2x over one dependent probe per field.
+  /// result as `count` InternTerm calls in order (first-appearance ids);
+  /// see SymbolTable::InternBatch for the hash-ahead prefetch. Charges
+  /// the dictionary's capacity growth to the attached budget.
   bool InternTermBatch(const std::string_view* names, uint32_t* ids,
                        std::size_t count) {
-    return dictionary_.InternBatch(names, ids, count, this);
+    const uint64_t before = dictionary_.names.capacity_bytes();
+    const bool interned = dictionary_.names.InternBatch(names, ids, count);
+    AccountGrowth(before, dictionary_.names.capacity_bytes());
+    return interned;
   }
 
   /// Returns the index of the table for `predicate`/`arity`, creating it
@@ -159,8 +167,6 @@ class InMemoryEdb final : public EdbDatabase {
   uint64_t MemoryFootprint() const { return footprint_bytes_; }
 
  private:
-  friend class Dictionary;
-
   template <typename T>
   static uint64_t VectorBytes(const std::vector<T>& v) {
     return static_cast<uint64_t>(v.capacity()) * sizeof(T);
@@ -173,51 +179,17 @@ class InMemoryEdb final : public EdbDatabase {
     charged_.Charge(delta);
   }
 
-  /// Contiguous string interner: name bytes in one blob, (offsets[i],
-  /// offsets[i+1]) delimiting name i, and an open-addressing hash -> id
-  /// table (power-of-two, max load 1/2, stored hashes) for dedup — the
-  /// same shape as Instance's atom dedup, with byte-exact accounting and
-  /// no per-entry node allocation. Doubles as the snapshot wire format.
+  /// The dictionary is a SymbolTable (arena + flat (hash, id) index,
+  /// the interner Vocabulary uses too) behind the EdbDictionary view.
   class Dictionary final : public EdbDictionary {
    public:
-    uint32_t size() const override {
-      return static_cast<uint32_t>(offsets_.size()) - 1;
-    }
+    uint32_t size() const override { return names.size(); }
     std::string_view NameOf(uint32_t id) const override {
-      GCHASE_CHECK(id + 1 < offsets_.size());
-      return std::string_view(bytes_.data() + offsets_[id],
-                              offsets_[id + 1] - offsets_[id]);
+      return names.NameOf(id);
     }
-    bool Intern(std::string_view name, uint32_t* id, InMemoryEdb* owner);
-    bool InternBatch(const std::string_view* names, uint32_t* ids,
-                     std::size_t count, InMemoryEdb* owner);
+    uint64_t name_bytes() const override { return names.name_bytes(); }
 
-    const std::vector<uint64_t>& offsets() const { return offsets_; }
-    const std::vector<char>& bytes() const { return bytes_; }
-
-   private:
-    /// Hash and id co-located in one 16-byte slot, so the batched
-    /// prefetch pulls both with a single cache line — the dedup table
-    /// outgrows the caches at bulk-load scale, so misses dominate
-    /// intern cost.
-    struct Slot {
-      uint64_t hash = 0;
-      uint32_t id = kEmptySlot;
-      uint32_t unused = 0;
-    };
-
-    std::string_view StoredName(uint32_t id) const {
-      return std::string_view(bytes_.data() + offsets_[id],
-                              offsets_[id + 1] - offsets_[id]);
-    }
-    bool InternHashed(std::string_view name, uint64_t hash, uint32_t* id,
-                      InMemoryEdb* owner);
-    void Grow(InMemoryEdb* owner, std::size_t capacity);
-
-    std::vector<uint64_t> offsets_{0};  ///< size() + 1 entries.
-    std::vector<char> bytes_;
-    std::vector<Slot> slots_;  ///< Power-of-two, max load 1/2.
-    static constexpr uint32_t kEmptySlot = 0xffffffffu;
+    SymbolTable names;
   };
 
   class Table final : public EdbTable {
@@ -292,14 +264,17 @@ struct EdbSeedStats {
 };
 
 /// Seeds `instance` with every fact of `edb`: interns the full dictionary
-/// into `vocabulary` in dictionary order (bit-identical constant ids to
-/// the parser path), registers each table's predicate, and block-inserts
+/// into `vocabulary` in dictionary order, through one reserve and the
+/// batched intern (bit-identical constant ids to the parser path; names
+/// the rules already interned keep their ids), registers each table's
+/// predicate, and block-inserts
 /// the rows through Instance::TryAddBatch with one up-front
 /// ReserveAdditional. When `budget` is non-null the total reserve is
 /// projected first; on denial the seed degrades to per-table reserves and
 /// stops (stats->budget_denied) at the first table that no longer fits,
 /// leaving a valid prefix. Fails with kInvalidArgument on a predicate
-/// arity conflict against `vocabulary` and kInternal on a dictionary id
+/// arity conflict against `vocabulary`, kResourceExhausted when the
+/// vocabulary would pass 2^30 constants, and kInternal on a dictionary id
 /// out of range (a corrupt snapshot).
 Status SeedInstanceFromEdb(const EdbDatabase& edb, Vocabulary* vocabulary,
                            Instance* instance, MemoryBudget* budget,

@@ -89,6 +89,9 @@ class MappedEdb final : public EdbDatabase {
       return std::string_view(bytes_ + offsets_[id],
                               offsets_[id + 1] - offsets_[id]);
     }
+    uint64_t name_bytes() const override {
+      return offsets_[count_] - offsets_[0];
+    }
 
     const uint64_t* offsets_ = nullptr;  ///< count_ + 1 entries.
     const char* bytes_ = nullptr;
@@ -144,10 +147,7 @@ Status WriteEdbSnapshot(const EdbDatabase& edb, const std::string& path) {
       header.toc_pos + uint64_t{num_tables} * kTocEntryBytes;
   header.dict_bytes_pos =
       header.dict_offsets_pos + (uint64_t{num_terms} + 1) * 8;
-  uint64_t dict_bytes_len = 0;
-  for (uint32_t id = 0; id < num_terms; ++id) {
-    dict_bytes_len += dictionary.NameOf(id).size();
-  }
+  const uint64_t dict_bytes_len = dictionary.name_bytes();
   header.dict_bytes_len = dict_bytes_len;
 
   std::vector<TocEntry> toc(num_tables);

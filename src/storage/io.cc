@@ -1,13 +1,17 @@
 #include "storage/io.h"
 
+#include <charconv>
+
 #include "model/parser.h"
-#include "model/printer.h"
 
 namespace gchase {
 
 std::string WriteInstanceText(const Instance& instance,
                               const Vocabulary& vocabulary) {
+  // Appends straight from the symbol table's views and a stack buffer:
+  // no temporary string per term.
   std::string out;
+  char digits[16] = {};
   for (AtomView atom : instance.atoms()) {
     out += vocabulary.schema.name(atom.predicate);
     out += '(';
@@ -15,9 +19,14 @@ std::string WriteInstanceText(const Instance& instance,
       if (i > 0) out += ',';
       Term t = atom.args[i];
       if (t.IsNull()) {
-        out += "'_:n" + std::to_string(t.index()) + "'";
+        const std::to_chars_result end =
+            std::to_chars(digits, digits + sizeof(digits), t.index());
+        out += "'_:n";
+        out.append(digits, end.ptr);
+        out += '\'';
       } else {
-        out += TermToString(t, vocabulary);
+        // Instances hold only ground terms: t is a constant.
+        out += vocabulary.constants.NameOf(t.index());
       }
     }
     out += ").\n";

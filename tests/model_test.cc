@@ -1,5 +1,10 @@
 #include "model/tgd.h"
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "model/atom.h"
 #include "model/schema.h"
@@ -38,6 +43,142 @@ TEST(SymbolTableTest, InternDedupsAndFinds) {
   EXPECT_EQ(table.NameOf(b), "bob");
   EXPECT_EQ(table.Find("carol"), std::nullopt);
   EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(SymbolTableTest, InternBatchMatchesSequentialIntern) {
+  // Every third index reuses a smaller number: the batch adds and finds.
+  std::vector<std::string> names;
+  for (int i = 0; i < 1000; ++i) {
+    names.push_back("n" + std::to_string(i % 3 == 0 ? i / 3 : i));
+  }
+  SymbolTable sequential;
+  std::vector<uint32_t> expected;
+  for (const std::string& name : names) {
+    expected.push_back(sequential.Intern(name));
+  }
+
+  SymbolTable batched;
+  batched.Intern("n5");  // a name interned before the batch keeps id 0
+  std::vector<std::string_view> views(names.begin(), names.end());
+  std::vector<uint32_t> ids(views.size());
+  ASSERT_TRUE(batched.InternBatch(views.data(), ids.data(), views.size()));
+  SymbolTable reference;
+  reference.Intern("n5");
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(ids[i], reference.Intern(names[i])) << names[i];
+  }
+  EXPECT_EQ(batched.size(), reference.size());
+
+  // Odd batch sizes straddle the 64-name prefetch chunks.
+  SymbolTable chunked;
+  std::vector<uint32_t> chunk_ids(views.size());
+  for (std::size_t done = 0; done < views.size();) {
+    const std::size_t n = std::min<std::size_t>(37, views.size() - done);
+    ASSERT_TRUE(
+        chunked.InternBatch(views.data() + done, chunk_ids.data() + done, n));
+    done += n;
+  }
+  EXPECT_EQ(chunk_ids, expected);
+}
+
+TEST(SymbolTableTest, HundredThousandNamesAcrossRehashes) {
+  SymbolTable table;
+  constexpr uint32_t kNames = 100000;
+  for (uint32_t i = 0; i < kNames; ++i) {
+    ASSERT_EQ(table.Intern("c" + std::to_string(i)), i);
+  }
+  EXPECT_EQ(table.size(), kNames);
+  for (uint32_t i = 0; i < kNames; i += 7) {
+    EXPECT_EQ(table.NameOf(i), "c" + std::to_string(i));
+    EXPECT_EQ(table.Find("c" + std::to_string(i)), i);
+    EXPECT_EQ(table.Intern("c" + std::to_string(i)), i);
+  }
+  EXPECT_EQ(table.size(), kNames);
+  // The index doubles at max load 1/2: 2^18 slots hold 100k names.
+  EXPECT_GE(table.capacity_bytes(), (uint64_t{1} << 18) * 16);
+}
+
+TEST(SymbolTableTest, ShortNamesAndLastByteDifferences) {
+  // The hash reads 8-byte words plus a tail: lengths 0-17 cover an empty
+  // name, tails of every length and one and two full words.
+  const std::string alphabet = "abcdefghijklmnopq";
+  SymbolTable table;
+  std::vector<uint32_t> ids;
+  for (std::size_t length = 0; length <= 17; ++length) {
+    ids.push_back(table.Intern(alphabet.substr(0, length)));
+  }
+  for (std::size_t length = 0; length <= 17; ++length) {
+    const std::string name = alphabet.substr(0, length);
+    EXPECT_EQ(table.Intern(name), ids[length]) << length;
+    EXPECT_EQ(table.NameOf(ids[length]), name);
+    EXPECT_EQ(table.NameOf(ids[length]).size(), length);
+  }
+  EXPECT_EQ(table.size(), 18u);
+  EXPECT_EQ(table.name_bytes(), 17u * 18u / 2u);
+
+  // Names equal but for their last byte, at each length.
+  for (std::size_t length = 1; length <= 17; ++length) {
+    std::string name = alphabet.substr(0, length);
+    name.back() = 'Z';
+    const uint32_t id = table.Intern(name);
+    EXPECT_NE(id, ids[length]) << length;
+    EXPECT_EQ(table.NameOf(id), name);
+    EXPECT_EQ(table.Find(alphabet.substr(0, length)), ids[length]);
+  }
+  EXPECT_EQ(table.size(), 35u);
+}
+
+TEST(SymbolTableTest, FindOfAnAbsentName) {
+  SymbolTable empty;
+  EXPECT_EQ(empty.Find("x"), std::nullopt);
+  EXPECT_EQ(empty.Find(""), std::nullopt);
+  EXPECT_EQ(empty.size(), 0u);
+
+  SymbolTable table;
+  table.Intern("alpha");
+  table.Intern("");
+  EXPECT_EQ(table.Find("alph"), std::nullopt);
+  EXPECT_EQ(table.Find("alphaa"), std::nullopt);
+  EXPECT_EQ(table.Find(""), 1u);
+  EXPECT_EQ(table.size(), 2u);  // Find never interns
+}
+
+TEST(SymbolTableTest, CopyInternsIndependentlyOfItsSource) {
+  SymbolTable source;
+  for (int i = 0; i < 40; ++i) source.Intern("s" + std::to_string(i));
+  SymbolTable copy = source;
+  // Enough new names that the copy's index and arena both grow.
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(copy.Intern("copy" + std::to_string(i)), 40u + i);
+  }
+  EXPECT_EQ(source.size(), 40u);
+  EXPECT_EQ(source.Find("copy0"), std::nullopt);
+  EXPECT_EQ(source.Intern("other"), 40u);
+  EXPECT_EQ(copy.NameOf(40), "copy0");
+  EXPECT_EQ(source.NameOf(40), "other");
+  for (uint32_t i = 0; i < 40; ++i) {
+    EXPECT_EQ(copy.NameOf(i), source.NameOf(i));
+    EXPECT_EQ(copy.Find(source.NameOf(i)), i);
+  }
+
+  // Moving keeps the names; assigning a fresh table empties the target.
+  SymbolTable moved = std::move(copy);
+  EXPECT_EQ(moved.size(), 240u);
+  EXPECT_EQ(moved.NameOf(239), "copy199");
+  copy = SymbolTable();
+  EXPECT_EQ(copy.Intern("fresh"), 0u);
+}
+
+TEST(SymbolTableTest, ReserveGrowsNothingAfterward) {
+  SymbolTable table;
+  table.Intern("pre");
+  table.Reserve(1000, 1000 * 5);
+  const uint64_t reserved = table.capacity_bytes();
+  for (int i = 0; i < 1000; ++i) {
+    table.Intern("r" + std::to_string(1000 + i));
+  }
+  EXPECT_EQ(table.capacity_bytes(), reserved);
+  EXPECT_EQ(table.size(), 1001u);
 }
 
 TEST(SchemaTest, ArityAboveLimitIsError) {
