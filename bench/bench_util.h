@@ -112,6 +112,7 @@ inline std::string ChaseStatsToJson(const ChaseStats& stats) {
     out += ", \"applied\": " + JsonNumber(round.applied);
     out += ", \"discovery_ms\": " + JsonNumber(round.discovery_seconds * 1e3);
     out += ", \"apply_ms\": " + JsonNumber(round.apply_seconds * 1e3);
+    out += ", \"reserve_ms\": " + JsonNumber(round.reserve_seconds * 1e3);
     out += ", \"round_ms\": " + JsonNumber(round.total_seconds * 1e3);
     out += ", \"estimated_work\": " + JsonNumber(round.estimated_work);
     out += ", \"batched_triggers\": " + JsonNumber(round.batched_triggers);

@@ -114,13 +114,22 @@ def stats_section(stats, max_rounds):
         shown = rounds[:max_rounds]
         out += ["", f"### Rounds ({len(shown)} of {len(rounds)} shown)", ""]
         out += table(
-            ("Round", "Delta atoms", "Applied", "Discovery", "Apply", "Total"),
+            (
+                "Round",
+                "Delta atoms",
+                "Applied",
+                "Discovery",
+                "Reserve",
+                "Apply",
+                "Total",
+            ),
             [
                 (
                     i,
                     fmt_count(r.get("delta_atoms", 0)),
                     fmt_count(r.get("applied", 0)),
                     fmt_ns(r.get("discovery_ms", 0.0) * 1e6),
+                    fmt_ns(r.get("reserve_ms", 0.0) * 1e6),
                     fmt_ns(r.get("apply_ms", 0.0) * 1e6),
                     fmt_ns(r.get("round_ms", 0.0) * 1e6),
                 )

@@ -122,9 +122,10 @@ tier_tsan() {
   cmake --preset tsan &&
   cmake --build build-tsan -j"$(nproc)" \
     --target chase_test chase_limits_test chase_parallel_test governor_test \
-             obs_test join_plan_test memory_budget_test trigger_dedup_test &&
+             obs_test batch_apply_test join_plan_test memory_budget_test \
+             trigger_dedup_test &&
   (cd build-tsan && ctest -j"$(nproc)" \
-    -R 'ParallelDiscovery|ChaseStats|NullCap|RandomOrderSeeding|ChaseTest|ChaseLimits|Governor|Deadline|Cancellation|FaultInjection|Tracer|ObsGovernor|ThreadPool|JoinPlan|BindingSegment|PlanExecutor|MemoryBudget|InstanceBudget|ChaseMemory|Histogram|PerfCounters|Progress|TriggerKeyTable|MergedDiscovery')
+    -R 'ParallelDiscovery|ChaseStats|NullCap|RandomOrderSeeding|ChaseTest|ChaseLimits|Governor|Deadline|Cancellation|FaultInjection|Tracer|ObsGovernor|BatchApply|JoinPlan|BindingSegment|PlanExecutor|HeadBlock|ThreadPool|MemoryBudget|InstanceBudget|ChaseMemory|Histogram|PerfCounters|Progress|TriggerKeyTable|MergedDiscovery')
 }
 
 tier_asan() {
@@ -134,14 +135,18 @@ tier_asan() {
   # touch freed state, and that no abort path hangs (ctest enforces the
   # per-test TIMEOUT). The symbol-table, parser, printer and instance-I/O
   # tests ride along: SymbolTable::NameOf views point into a growable
-  # arena, so a view held across an intern is a use-after-free here.
+  # arena, so a view held across an intern is a use-after-free here. So
+  # do the instance and homomorphism tests: posting runs relocate inside
+  # one pool, so a PostingList held across an insert is a
+  # use-after-relocate.
   cmake --preset asan &&
   cmake --build build-asan -j"$(nproc)" \
     --target governor_test egd_test chase_limits_test decider_test \
-             join_plan_test memory_budget_test edb_test trigger_dedup_test \
-             model_test parser_test io_test &&
+             batch_apply_test join_plan_test memory_budget_test edb_test \
+             trigger_dedup_test model_test parser_test io_test \
+             instance_test homomorphism_test &&
   (cd build-asan && ctest -j"$(nproc)" \
-    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|JoinPlan|BindingSegment|PlanExecutor|MemoryBudget|InstanceBudget|ChaseMemory|BulkLoad|EdbSeed|EdbSnapshot|TriggerKeyTable|MergedDiscovery|SymbolTable|Parser|Printer|InstanceIo')
+    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|BatchApply|JoinPlan|BindingSegment|PlanExecutor|HeadBlock|MemoryBudget|InstanceBudget|ChaseMemory|DeciderMemory|BulkLoad|EdbSeed|EdbSnapshot|TriggerKeyTable|MergedDiscovery|SymbolTable|Parser|Printer|InstanceIo|InstanceTest|Homomorphism')
 }
 
 tier_perf() {

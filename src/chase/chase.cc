@@ -151,6 +151,7 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options,
   if (seed_status_.ok() && options_.track_provenance) {
     provenance_.assign(instance_.size(), AtomProvenance{});
   }
+  vocabulary_charged_bytes_ = seed.vocabulary_bytes;
   seed_denied_ = seed.budget_denied || edb.load_stats().memory_exceeded;
   // The loader's own parse/open time is part of the load phase the
   // caller sees, so fold it in.
@@ -159,6 +160,8 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options,
   stats_.load_bytes = edb.load_stats().input_bytes;
   stats_.edb_atoms = instance_.size();
 }
+
+ChaseRun::~ChaseRun() { memory_budget_->Release(vocabulary_charged_bytes_); }
 
 void ChaseRun::AdmitTrigger(uint32_t rule_index, const Term* row,
                             std::vector<PendingTrigger>* pending) {
@@ -842,6 +845,7 @@ ChaseOutcome ChaseRun::ExecuteLoop(const AtomObserver& observer) {
     // Pre-size the instance for the round's worst-case growth (every
     // pending trigger fires and every head atom is new) so the apply loop
     // never rehashes the dedup table or position index mid-flight.
+    phase_timer.Restart();
     uint64_t reserve_atoms = 0;
     uint64_t reserve_terms = 0;
     for (const PendingTrigger& trigger : pending) {
@@ -857,11 +861,13 @@ ChaseOutcome ChaseRun::ExecuteLoop(const AtomObserver& observer) {
     if (AllocationStop(
             instance_.EstimateReserveBytes(reserve_atoms, reserve_terms),
             &outcome)) {
+      round.reserve_seconds = phase_timer.ElapsedSeconds();
       round.total_seconds = round_timer.ElapsedSeconds();
       UpdateStatsPeaks();
       return outcome;
     }
     instance_.ReserveAdditional(reserve_atoms, reserve_terms);
+    round.reserve_seconds = phase_timer.ElapsedSeconds();
 
     // Apply in the chosen order (always serial: application mutates the
     // instance, and restricted-chase semantics depend on the order).
@@ -994,7 +1000,7 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
   sink.Counter("chase.triggers_applied")->Add(applied);
   sink.Counter("chase.triggers_skipped_satisfied")->Add(skipped);
   uint64_t estimated_work = 0;
-  uint64_t discovery_us = 0, apply_us = 0, round_us = 0;
+  uint64_t discovery_us = 0, apply_us = 0, reserve_us = 0, round_us = 0;
   uint64_t batched_triggers = 0, batch_blocks = 0;
   uint64_t plan_units = 0, fallback_units = 0, binding_rows = 0;
   constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
@@ -1004,6 +1010,7 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
                          : estimated_work + round.estimated_work;
     discovery_us += static_cast<uint64_t>(round.discovery_seconds * 1e6);
     apply_us += static_cast<uint64_t>(round.apply_seconds * 1e6);
+    reserve_us += static_cast<uint64_t>(round.reserve_seconds * 1e6);
     round_us += static_cast<uint64_t>(round.total_seconds * 1e6);
     batched_triggers += round.batched_triggers;
     batch_blocks += round.batch_blocks;
@@ -1018,6 +1025,7 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
   sink.Counter("chase.estimated_work")->Add(estimated_work);
   sink.Counter("chase.discovery_us")->Add(discovery_us);
   sink.Counter("chase.apply_us")->Add(apply_us);
+  sink.Counter("chase.reserve_us")->Add(reserve_us);
   sink.Counter("chase.round_us")->Add(round_us);
   sink.Counter("chase.batched_triggers")->Add(batched_triggers);
   sink.Counter("chase.batch_blocks")->Add(batch_blocks);

@@ -274,9 +274,12 @@ struct RoundStats {
   uint64_t applied = 0;            ///< Triggers fired this round.
   double discovery_seconds = 0.0;  ///< Wall time of the discovery phase.
   double apply_seconds = 0.0;      ///< Wall time of the application phase.
+  /// Wall time of the round's pre-apply reserve: the head-atom tally,
+  /// Instance::EstimateReserveBytes and Instance::ReserveAdditional.
+  double reserve_seconds = 0.0;
   /// Wall time of the whole round, discovery start to apply end — also
-  /// covering the reorder/reserve work between the phases, which the two
-  /// phase timers alone leave invisible.
+  /// covering the reorder and bookkeeping between the phases, which the
+  /// phase timers leave out.
   double total_seconds = 0.0;
   uint64_t estimated_work = 0;     ///< Join-work estimate driving cutover.
   bool parallel_discovery = false; ///< Round ran the parallel engine.
@@ -374,8 +377,16 @@ class ChaseRun {
   /// budget denial of the seed reserve — or an EDB whose own load
   /// already tripped the budget — is not an error: Execute() then
   /// returns kMemoryBudgetExceeded immediately, partial stats intact.
+  /// The seed's growth of `vocabulary` is charged to the run's budget
+  /// until the run is destroyed.
   ChaseRun(const RuleSet& rules, ChaseOptions options, const EdbDatabase& edb,
            Vocabulary* vocabulary);
+
+  /// Releases the vocabulary charge; the instance and staging buffers
+  /// release their own.
+  ~ChaseRun();
+  ChaseRun(const ChaseRun&) = delete;
+  ChaseRun& operator=(const ChaseRun&) = delete;
 
   /// Ok unless the EDB constructor failed to seed (see above). Execute()
   /// on a run with a failed seed is a checked error.
@@ -610,6 +621,9 @@ class ChaseRun {
   /// Non-OK when the EDB constructor could not seed (arity conflict,
   /// corrupt snapshot); see seed_status().
   Status seed_status_;
+  /// Bytes the EDB seed's vocabulary reserve charged to memory_budget_;
+  /// released by the destructor.
+  uint64_t vocabulary_charged_bytes_ = 0;
 };
 
 /// Convenience result bundle for RunChase(). Carries every counter the

@@ -86,15 +86,14 @@ PlanExecutor::UnitStatus PlanExecutor::ExecuteUnit(
   // what keeps cap-adjacent behavior identical across engines.
   const PlanStep& seed = steps[0];
   const MatchRange seed_range = RangeFor(seed.conjunct, pivot);
-  const std::vector<AtomId>* seed_list =
-      &instance_.AtomsWithPredicate(seed.predicate);
+  PostingList seed_list = instance_.AtomsWithPredicate(seed.predicate);
   for (const ProbeSite& probe : seed.probes) {
     GCHASE_CHECK(probe.is_constant);
-    const std::vector<AtomId>& list = instance_.AtomsWithTermAt(
+    const PostingList list = instance_.AtomsWithTermAt(
         seed.predicate, probe.position, probe.constant);
-    if (list.size() < seed_list->size()) seed_list = &list;
+    if (list.size() < seed_list.size()) seed_list = list;
   }
-  const PostingView source = ClipPostings(*seed_list, seed_range, watermark);
+  const PostingView source = ClipPostings(seed_list, seed_range, watermark);
   status.charge += source.full_size;
   if (status.charge > max_charge) {
     status.budget_exhausted = true;
@@ -139,29 +138,33 @@ PlanExecutor::UnitStatus PlanExecutor::ExecuteUnit(
   // on the row. Probing compares raw (unclipped) list lengths — the same
   // estimates the backtracking planner uses — so the single binary-search
   // clip is deferred to the one list that actually gets scanned.
-  const std::vector<AtomId>& ext_pred_list =
+  const PostingList ext_pred_list =
       instance_.AtomsWithPredicate(ext.predicate);
   const PostingView ext_pred_view =
       ClipPostings(ext_pred_list, ext_range, watermark);
   for (uint64_t r = 0; r < scratch->rows(); ++r) {
     const Term* base = scratch->row(r);
     std::copy(base, base + plan.num_slots, row.begin());
-    const std::vector<AtomId>* best = &ext_pred_list;
+    PostingList best = ext_pred_list;
+    bool best_is_predicate = true;
     for (const ProbeSite& probe : ext.probes) {
       const Term image = probe.is_constant ? probe.constant : row[probe.slot];
-      const std::vector<AtomId>& list =
+      const PostingList list =
           instance_.AtomsWithTermAt(ext.predicate, probe.position, image);
-      if (list.size() < best->size()) best = &list;
+      if (list.size() < best.size()) {
+        best = list;
+        best_is_predicate = false;
+      }
     }
-    status.charge += best->size();
+    status.charge += best.size();
     if (status.charge > max_charge) {
       status.budget_exhausted = true;
       return status;
     }
     if (poll_charge()) return status;
-    const PostingView ext_source = best == &ext_pred_list
-                                       ? ext_pred_view
-                                       : ClipPostings(*best, ext_range, watermark);
+    const PostingView ext_source =
+        best_is_predicate ? ext_pred_view
+                          : ClipPostings(best, ext_range, watermark);
     for (const AtomId* it = ext_source.begin; it != ext_source.end; ++it) {
       if ((++scan_ticks & 1023u) == 0 && tripped()) return status;
       if (unify(ext, *it)) {

@@ -26,7 +26,7 @@ namespace gchase {
 /// allowed: such a rule has exactly one key, the empty one.
 ///
 /// Capacity is a power of two with linear probing at a max load factor of
-/// 1/2, doubling from 16 slots like FlatIndex64. The table is never
+/// 1/2, doubling from 16 slots like the PositionIndex. The table is never
 /// pre-sized from binding-row counts: most rows of a high-fan-out rule
 /// are duplicates.
 class TriggerKeyTable {

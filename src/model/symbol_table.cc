@@ -93,11 +93,29 @@ void SymbolTable::Reserve(std::size_t names, std::size_t bytes) {
   EnsureSlotsFor(names);
 }
 
-void SymbolTable::EnsureSlotsFor(std::size_t extra) {
+uint64_t SymbolTable::ReserveBytes(std::size_t names,
+                                   std::size_t bytes) const {
+  uint64_t extra = (SlotsFor(names) - slots_.size()) * sizeof(Slot);
+  if (bytes_.size() + bytes > bytes_.capacity()) {
+    extra += bytes_.size() + bytes - bytes_.capacity();
+  }
+  if (ends_.size() + names > ends_.capacity()) {
+    extra += (ends_.size() + names - ends_.capacity()) * sizeof(uint64_t);
+  }
+  return extra;
+}
+
+std::size_t SymbolTable::SlotsFor(std::size_t extra) const {
   const std::size_t needed = (ends_.size() + extra) * 2;
-  if (needed <= slots_.size()) return;
+  if (needed <= slots_.size()) return slots_.size();
   std::size_t capacity = std::max(kMinSlots, slots_.size());
   while (capacity < needed) capacity *= 2;
+  return capacity;
+}
+
+void SymbolTable::EnsureSlotsFor(std::size_t extra) {
+  const std::size_t capacity = SlotsFor(extra);
+  if (capacity == slots_.size()) return;
   std::vector<Slot> old_slots = std::move(slots_);
   slots_.assign(capacity, Slot{});
   const std::size_t mask = capacity - 1;

@@ -50,6 +50,10 @@ class SymbolTable {
   /// total bytes, so interning them grows nothing.
   void Reserve(std::size_t names, std::size_t bytes);
 
+  /// Heap bytes Reserve(names, bytes) would add right now — its exact
+  /// policy, so a byte budget can deny the reserve before it commits.
+  uint64_t ReserveBytes(std::size_t names, std::size_t bytes) const;
+
   uint32_t size() const { return static_cast<uint32_t>(ends_.size()); }
   /// Sum of all names' lengths.
   uint64_t name_bytes() const { return bytes_.size(); }
@@ -75,7 +79,10 @@ class SymbolTable {
     const uint64_t begin = id == 0 ? 0 : ends_[id - 1];
     return std::string_view(bytes_.data() + begin, ends_[id] - begin);
   }
-  /// Grows the index until `extra` more names fit at max load 1/2.
+  /// Slot count that fits `extra` more names at max load 1/2: the index
+  /// size, or the next power-of-two doubling of it (from kMinSlots).
+  std::size_t SlotsFor(std::size_t extra) const;
+  /// Grows the index to SlotsFor(extra).
   void EnsureSlotsFor(std::size_t extra);
   bool InternHashed(std::string_view name, uint64_t hash, uint32_t* id);
 

@@ -1,6 +1,7 @@
 #ifndef GCHASE_STORAGE_ARENA_H_
 #define GCHASE_STORAGE_ARENA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -142,79 +143,144 @@ inline uint64_t HashAtomTerms(PredicateId predicate, const Term* args,
   return h;
 }
 
-/// Open-addressing hash map from a 64-bit key to a uint32 value, laid out
-/// as two parallel arrays (keys / values) — no nodes, no per-entry
-/// allocation, one multiplicative mix per probe. The value 0xffffffff is
-/// reserved as the empty-slot sentinel, so stored values must stay below
-/// it (posting-list slots and atom ids always do; inserting the sentinel
-/// is a checked failure).
-///
-/// Capacity is a power of two with linear probing at a max load factor of
-/// 1/2 (join probes are miss-heavy, and unsuccessful linear-probe chains
-/// grow as 1/(1-load)^2); `Reserve()` pre-sizes for a known key
-/// cardinality so bulk insert phases never rehash mid-flight.
-class FlatIndex64 {
+/// Dense id of an atom within an Instance; ids are append-ordered and
+/// stable, which lets callers use an id watermark as a "delta" boundary
+/// for semi-naive evaluation.
+using AtomId = uint32_t;
+
+/// A borrowed view of one posting list: atom ids in append (so ascending)
+/// order; copy it by value. Invalidated by the next insertion into the
+/// instance it came from: a run may relocate inside the PositionIndex
+/// pool, and the pool itself may reallocate.
+class PostingList {
  public:
-  static constexpr uint32_t kNotFound = 0xffffffffu;
+  using const_iterator = const AtomId*;  // lets test failures print ids
 
-  /// Returns the value stored under `key`, or kNotFound.
-  uint32_t Find(uint64_t key) const {
-    if (values_.empty()) return kNotFound;
-    const std::size_t mask = values_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(Mix(key)) & mask;
-    while (values_[i] != kNotFound) {
-      if (keys_[i] == key) return values_[i];
-      i = (i + 1) & mask;
-    }
-    return kNotFound;
-  }
+  PostingList() = default;
+  PostingList(const AtomId* data, uint32_t size) : data_(data), size_(size) {}
 
-  /// Returns the value stored under `key`, inserting `value_if_new` (and
-  /// setting *inserted) when the key is absent.
-  uint32_t FindOrInsert(uint64_t key, uint32_t value_if_new, bool* inserted) {
-    GCHASE_CHECK(value_if_new != kNotFound);
-    GrowIfNeeded(count_ + 1);
-    const std::size_t mask = values_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(Mix(key)) & mask;
-    while (values_[i] != kNotFound) {
-      if (keys_[i] == key) {
-        *inserted = false;
-        return values_[i];
-      }
-      i = (i + 1) & mask;
-    }
-    keys_[i] = key;
-    values_[i] = value_if_new;
-    ++count_;
-    *inserted = true;
-    return value_if_new;
-  }
+  const AtomId* begin() const { return data_; }
+  const AtomId* end() const { return data_ + size_; }
+  uint32_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
-  std::size_t size() const { return count_; }
-
-  /// Pre-sizes the table for `expected_keys` total entries.
-  void Reserve(std::size_t expected_keys) { GrowIfNeeded(expected_keys); }
-
-  /// Current slot count (power of two, or 0 before the first insert).
-  std::size_t capacity_slots() const { return values_.size(); }
-
-  /// Bytes of heap capacity currently retained (keys + values arrays).
-  std::size_t capacity_bytes() const {
-    return keys_.capacity() * sizeof(uint64_t) +
-           values_.capacity() * sizeof(uint32_t);
-  }
-
-  /// Slot count the table would have after Reserve(want) — GrowIfNeeded's
-  /// exact policy (max load 1/2, power-of-two doubling from 16), exposed
-  /// so byte budgets can project a reserve's cost before committing it.
-  std::size_t CapacityFor(std::size_t want) const {
-    if (!values_.empty() && want * 2 <= values_.size()) return values_.size();
-    std::size_t capacity = values_.empty() ? 16 : values_.size();
-    while (want * 2 > capacity) capacity *= 2;
-    return capacity;
+  friend bool operator==(PostingList a, PostingList b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
   }
 
  private:
+  const AtomId* data_ = nullptr;
+  uint32_t size_ = 0;
+};
+
+/// The (predicate, position, term) -> atoms position index. No key owns a
+/// heap block, and a lookup reads one 16-byte slot:
+///  - open addressing over {packed key, run offset, run size} slots, with
+///    linear probing at a max load factor of 1/2 (join probes are
+///    miss-heavy, and unsuccessful linear-probe chains grow as
+///    1/(1-load)^2) and power-of-two doubling from 16 slots; size 0 marks
+///    an empty slot;
+///  - every posting list is a run of one shared AtomId pool. A run's
+///    capacity is the next power of two of its size; when a run fills, it
+///    moves to the end of the pool at twice its capacity and its old range
+///    is abandoned. A run of n entries has thus consumed under 4n pool
+///    slots over its life, and the pool holds no per-run header.
+///
+/// Ids arrive in ascending order, so every run is sorted — what
+/// ClipPostings' binary search relies on.
+class PositionIndex {
+ public:
+  /// Packs (pred, position, term) into one 64-bit key: term in the high
+  /// word, then 24 bits of predicate and 8 of position.
+  static uint64_t Key(PredicateId pred, uint32_t position, Term term) {
+    GCHASE_CHECK(position < 256);
+    GCHASE_CHECK(pred < (1u << 24));
+    return (static_cast<uint64_t>(term.raw()) << 32) |
+           (static_cast<uint64_t>(pred) << 8) | position;
+  }
+
+  /// The run stored under `key`; empty when the key is absent.
+  PostingList Find(uint64_t key) const {
+    if (slots_.empty()) return PostingList();
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(Mix(key)) & mask;
+    while (slots_[i].size != 0) {
+      if (slots_[i].key == key) {
+        return PostingList(pool_.data() + slots_[i].offset, slots_[i].size);
+      }
+      i = (i + 1) & mask;
+    }
+    return PostingList();
+  }
+
+  /// Appends `id` to the run under `key`, opening the run if the key is
+  /// new. Ids must arrive in ascending order per key.
+  void Append(uint64_t key, AtomId id) {
+    GrowSlots(keys_ + 1);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(Mix(key)) & mask;
+    while (slots_[i].size != 0 && slots_[i].key != key) i = (i + 1) & mask;
+    Slot& slot = slots_[i];
+    if (slot.size == 0) {
+      slot.key = key;
+      slot.offset = ClaimPool(1);
+      ++keys_;
+    } else if ((slot.size & (slot.size - 1)) == 0) {
+      // A power-of-two size is a full run: relocate at twice the room.
+      GCHASE_CHECK(slot.size <= (1u << 30));
+      const uint32_t offset = ClaimPool(2 * slot.size);
+      std::copy_n(pool_.data() + slot.offset, slot.size,
+                  pool_.data() + offset);
+      slot.offset = offset;
+    }
+    pool_[slot.offset + slot.size] = id;
+    ++slot.size;
+    ++entries_;
+  }
+
+  /// Pre-sizes for `extra_keys` more keys and `extra_entries` more pool
+  /// slots, so that much growth neither rehashes nor reallocates.
+  void Reserve(std::size_t extra_keys, std::size_t extra_entries) {
+    GrowSlots(keys_ + extra_keys);
+    pool_.reserve(pool_.size() + extra_entries);
+  }
+
+  /// Heap bytes Reserve(extra_keys, extra_entries) would add right now —
+  /// its exact policy, so byte budgets can project a reserve's cost
+  /// before committing it.
+  uint64_t ReserveBytes(std::size_t extra_keys,
+                        std::size_t extra_entries) const {
+    uint64_t bytes =
+        (SlotsFor(keys_ + extra_keys) - slots_.size()) * sizeof(Slot);
+    const std::size_t want_pool = pool_.size() + extra_entries;
+    if (want_pool > pool_.capacity()) {
+      bytes += (want_pool - pool_.capacity()) * sizeof(AtomId);
+    }
+    return bytes;
+  }
+
+  /// Distinct keys.
+  std::size_t keys() const { return keys_; }
+  /// Live posting entries across all runs.
+  uint64_t entries() const { return entries_; }
+  /// Pool slots claimed so far: live entries, the unfilled tails of runs
+  /// and the abandoned ranges of relocated runs.
+  std::size_t pool_slots() const { return pool_.size(); }
+
+  /// Bytes of heap capacity currently retained (slots + pool).
+  std::size_t capacity_bytes() const {
+    return slots_.capacity() * sizeof(Slot) +
+           pool_.capacity() * sizeof(AtomId);
+  }
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    uint32_t offset = 0;  ///< First pool slot of the run.
+    uint32_t size = 0;    ///< Entries in the run; 0 = empty slot.
+  };
+  static_assert(sizeof(Slot) == 16, "one probe, one 16-byte slot");
+
   static uint64_t Mix(uint64_t key) {
     // splitmix64 finalizer: full-avalanche, so linear probing does not
     // cluster on the structured (term, pred, pos) key packing.
@@ -226,29 +292,42 @@ class FlatIndex64 {
     return key;
   }
 
-  void GrowIfNeeded(std::size_t want) {
-    // Max load factor 1/2.
-    if (!values_.empty() && want * 2 <= values_.size()) return;
-    std::size_t capacity = values_.empty() ? 16 : values_.size();
+  /// Slot count for `want` keys: max load 1/2, power-of-two doubling
+  /// from 16; never below the current count.
+  std::size_t SlotsFor(std::size_t want) const {
+    if (!slots_.empty() && want * 2 <= slots_.size()) return slots_.size();
+    std::size_t capacity = slots_.empty() ? 16 : slots_.size();
     while (want * 2 > capacity) capacity *= 2;
-    if (capacity == values_.size()) return;
-    std::vector<uint64_t> old_keys = std::move(keys_);
-    std::vector<uint32_t> old_values = std::move(values_);
-    keys_.assign(capacity, 0);
-    values_.assign(capacity, kNotFound);
+    return capacity;
+  }
+
+  void GrowSlots(std::size_t want) {
+    const std::size_t capacity = SlotsFor(want);
+    if (capacity == slots_.size()) return;
+    std::vector<Slot> old_slots = std::move(slots_);
+    slots_.assign(capacity, Slot{});
     const std::size_t mask = capacity - 1;
-    for (std::size_t i = 0; i < old_values.size(); ++i) {
-      if (old_values[i] == kNotFound) continue;
-      std::size_t j = static_cast<std::size_t>(Mix(old_keys[i])) & mask;
-      while (values_[j] != kNotFound) j = (j + 1) & mask;
-      keys_[j] = old_keys[i];
-      values_[j] = old_values[i];
+    for (const Slot& slot : old_slots) {
+      if (slot.size == 0) continue;
+      std::size_t j = static_cast<std::size_t>(Mix(slot.key)) & mask;
+      while (slots_[j].size != 0) j = (j + 1) & mask;
+      slots_[j] = slot;
     }
   }
 
-  std::vector<uint64_t> keys_;
-  std::vector<uint32_t> values_;
-  std::size_t count_ = 0;
+  /// Claims `count` slots at the end of the pool; returns the first.
+  uint32_t ClaimPool(uint32_t count) {
+    const std::size_t offset = pool_.size();
+    GCHASE_CHECK_MSG(offset + count <= 0xffffffffu,
+                     "position index pool past 2^32 slots");
+    pool_.resize(offset + count);
+    return static_cast<uint32_t>(offset);
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<AtomId> pool_;
+  std::size_t keys_ = 0;
+  uint64_t entries_ = 0;
 };
 
 }  // namespace gchase

@@ -79,7 +79,17 @@ Status SeedInstanceFromEdb(const EdbDatabase& edb, Vocabulary* vocabulary,
   const EdbDictionary& dictionary = edb.dictionary();
   const uint32_t num_names = dictionary.size();
   SymbolTable& constants = vocabulary->constants;
+  if (budget != nullptr &&
+      budget->WouldExceed(
+          constants.ReserveBytes(num_names, dictionary.name_bytes()))) {
+    budget->NoteDenied();
+    out.budget_denied = true;
+    return Status::Ok();
+  }
+  const uint64_t vocabulary_before = constants.capacity_bytes();
   constants.Reserve(num_names, dictionary.name_bytes());
+  out.vocabulary_bytes = constants.capacity_bytes() - vocabulary_before;
+  if (budget != nullptr) budget->Charge(out.vocabulary_bytes);
   std::vector<Term> term_of(num_names);
   {
     constexpr uint32_t kInternChunk = 1024;

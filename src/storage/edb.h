@@ -261,6 +261,10 @@ struct EdbSeedStats {
   /// instance holds the tables seeded before the denial, and the caller
   /// must surface kMemoryBudgetExceeded.
   bool budget_denied = false;
+  /// Capacity the vocabulary's constant table grew by, charged to the
+  /// seed's budget when one was given. The vocabulary outlives the seed,
+  /// so the caller releases this charge when its run ends.
+  uint64_t vocabulary_bytes = 0;
 };
 
 /// Seeds `instance` with every fact of `edb`: interns the full dictionary
@@ -269,10 +273,12 @@ struct EdbSeedStats {
 /// the rules already interned keep their ids), registers each table's
 /// predicate, and block-inserts
 /// the rows through Instance::TryAddBatch with one up-front
-/// ReserveAdditional. When `budget` is non-null the total reserve is
-/// projected first; on denial the seed degrades to per-table reserves and
-/// stops (stats->budget_denied) at the first table that no longer fits,
-/// leaving a valid prefix. Fails with kInvalidArgument on a predicate
+/// ReserveAdditional. When `budget` is non-null both reserves are
+/// projected first. The vocabulary's is charged (stats->vocabulary_bytes)
+/// or, on denial, stops the seed before anything is interned. On denial
+/// of the instance's total reserve the seed degrades to per-table
+/// reserves and stops (stats->budget_denied) at the first table that no
+/// longer fits, leaving a valid prefix. Fails with kInvalidArgument on a predicate
 /// arity conflict against `vocabulary`, kResourceExhausted when the
 /// vocabulary would pass 2^30 constants, and kInternal on a dictionary id
 /// out of range (a corrupt snapshot).

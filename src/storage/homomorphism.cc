@@ -97,7 +97,7 @@ class Search {
     GCHASE_CHECK(best < conjunction_.size());
     const Atom& pattern = conjunction_[best];
     const MatchRange range = RangeOf(best);
-    const std::vector<AtomId>& candidates =
+    const PostingList candidates =
         best_plan.use_position
             ? instance_.AtomsWithTermAt(pattern.predicate, best_plan.position,
                                         best_plan.term)

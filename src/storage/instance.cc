@@ -10,13 +10,6 @@
 
 namespace gchase {
 
-namespace {
-const std::vector<AtomId>& EmptyIdList() {
-  static const std::vector<AtomId>* const kEmpty = new std::vector<AtomId>();
-  return *kEmpty;
-}
-}  // namespace
-
 bool Instance::RecordEquals(AtomId id, PredicateId pred, const Term* args,
                             uint32_t arity) const {
   const AtomRecord& record = records_[id];
@@ -30,11 +23,12 @@ bool Instance::RecordEquals(AtomId id, PredicateId pred, const Term* args,
 
 std::size_t Instance::DedupSlotFor(uint64_t hash, PredicateId pred,
                                    const Term* args, uint32_t arity) const {
-  const std::size_t mask = dedup_ids_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(hash) & mask;
-  while (dedup_ids_[i] != kEmptySlot) {
-    if (dedup_hashes_[i] == hash &&
-        RecordEquals(dedup_ids_[i], pred, args, arity)) {
+  const uint32_t tag = static_cast<uint32_t>(hash);
+  const std::size_t mask = dedup_.size() - 1;
+  std::size_t i = tag & mask;
+  while (dedup_[i].id != kEmptySlot) {
+    if (dedup_[i].hash == tag &&
+        RecordEquals(dedup_[i].id, pred, args, arity)) {
       return i;
     }
     i = (i + 1) & mask;
@@ -46,11 +40,11 @@ void Instance::GrowDedup(std::size_t want) {
   // Max load factor 1/2, power-of-two capacity. Linear-probe miss chains
   // grow as 1/(1-load)^2, and the chase's Contains traffic is miss-heavy
   // (every candidate head atom is probed before insertion) — the extra
-  // 12 bytes/slot buys ~1.5-probe misses instead of ~6 at 7/10 load.
-  if (!dedup_ids_.empty() && want * 2 <= dedup_ids_.size()) return;
-  std::size_t capacity = dedup_ids_.empty() ? 16 : dedup_ids_.size();
-  while (want * 2 > capacity) capacity *= 2;
-  if (capacity == dedup_ids_.size()) return;
+  // 8 bytes/slot buys ~1.5-probe misses instead of ~6 at 7/10 load.
+  const std::size_t capacity = GrownDedupCapacity(want);
+  if (capacity == dedup_.size()) return;
+  GCHASE_CHECK_MSG(capacity <= (uint64_t{1} << 32),
+                   "dedup table past 2^32 slots (2^31 atoms)");
   // Span only inside the actual-grow branch: the early-outs above are
   // the TryAdd fast path and must stay untraced.
   GCHASE_TRACE_SPAN_PERF(TraceCategory::kStorage, "storage.grow_dedup",
@@ -58,20 +52,17 @@ void Instance::GrowDedup(std::size_t want) {
   static MetricHistogram* const grow_hist =
       MetricsRegistry::Global().Histogram("storage.dedup_grow_ns");
   LatencyTimer grow_timer(grow_hist);
-  const uint64_t bytes_before = VectorBytes(dedup_hashes_) + VectorBytes(dedup_ids_);
-  std::vector<uint64_t> old_hashes = std::move(dedup_hashes_);
-  std::vector<AtomId> old_ids = std::move(dedup_ids_);
-  dedup_hashes_.assign(capacity, 0);
-  dedup_ids_.assign(capacity, kEmptySlot);
+  const uint64_t bytes_before = VectorBytes(dedup_);
+  std::vector<DedupSlot> old_slots = std::move(dedup_);
+  dedup_.assign(capacity, DedupSlot{});
   const std::size_t mask = capacity - 1;
-  for (std::size_t i = 0; i < old_ids.size(); ++i) {
-    if (old_ids[i] == kEmptySlot) continue;
-    std::size_t j = static_cast<std::size_t>(old_hashes[i]) & mask;
-    while (dedup_ids_[j] != kEmptySlot) j = (j + 1) & mask;
-    dedup_hashes_[j] = old_hashes[i];
-    dedup_ids_[j] = old_ids[i];
+  for (const DedupSlot& entry : old_slots) {
+    if (entry.id == kEmptySlot) continue;
+    std::size_t j = entry.hash & mask;
+    while (dedup_[j].id != kEmptySlot) j = (j + 1) & mask;
+    dedup_[j] = entry;
   }
-  AccountGrowth(bytes_before, VectorBytes(dedup_hashes_) + VectorBytes(dedup_ids_));
+  AccountGrowth(bytes_before, VectorBytes(dedup_));
 }
 
 std::pair<AtomId, bool> Instance::TryAdd(const Atom& atom) {
@@ -85,7 +76,7 @@ std::pair<AtomId, bool> Instance::TryAddTerms(PredicateId pred,
   const uint64_t hash = HashAtomTerms(pred, args, arity);
   GrowDedup(records_.size() + 1);
   const std::size_t slot = DedupSlotFor(hash, pred, args, arity);
-  if (dedup_ids_[slot] != kEmptySlot) return {dedup_ids_[slot], false};
+  if (dedup_[slot].id != kEmptySlot) return {dedup_[slot].id, false};
   return {AppendRow(pred, args, arity, hash, slot), true};
 }
 
@@ -104,8 +95,7 @@ AtomId Instance::AppendRow(PredicateId pred, const Term* args, uint32_t arity,
   before = VectorBytes(records_);
   records_.push_back(AtomRecord{pred, offset, arity});
   AccountGrowth(before, VectorBytes(records_));
-  dedup_hashes_[slot] = hash;
-  dedup_ids_[slot] = id;
+  dedup_[slot] = DedupSlot{static_cast<uint32_t>(hash), id};
 
   if (pred >= by_predicate_.size()) {
     before = VectorBytes(by_predicate_);
@@ -119,22 +109,9 @@ AtomId Instance::AppendRow(PredicateId pred, const Term* args, uint32_t arity,
     AccountGrowth(before, VectorBytes(list));
   }
   for (uint32_t pos = 0; pos < arity; ++pos) {
-    bool inserted = false;
     before = position_index_.capacity_bytes();
-    const uint32_t posting_slot = position_index_.FindOrInsert(
-        PositionKey(pred, pos, args[pos]),
-        static_cast<uint32_t>(postings_.size()), &inserted);
+    position_index_.Append(PositionIndex::Key(pred, pos, args[pos]), id);
     AccountGrowth(before, position_index_.capacity_bytes());
-    if (inserted) {
-      before = VectorBytes(postings_);
-      postings_.emplace_back();
-      AccountGrowth(before, VectorBytes(postings_));
-    }
-    std::vector<AtomId>& posting = postings_[posting_slot];
-    before = VectorBytes(posting);
-    posting.push_back(id);
-    AccountGrowth(before, VectorBytes(posting));
-    ++position_entries_;
   }
   return id;
 }
@@ -156,18 +133,15 @@ uint32_t Instance::TryAddBatch(PredicateId pred, const Term* terms,
   // Worst case every argument position of every row opens a fresh index
   // key; reserving here keeps the per-row loop rehash-free end to end.
   before = position_index_.capacity_bytes();
-  position_index_.Reserve(position_index_.size() +
+  position_index_.Reserve(static_cast<std::size_t>(arity) * n,
                           static_cast<std::size_t>(arity) * n);
   AccountGrowth(before, position_index_.capacity_bytes());
-  before = VectorBytes(postings_);
-  postings_.reserve(postings_.size() + static_cast<std::size_t>(arity) * n);
-  AccountGrowth(before, VectorBytes(postings_));
   uint32_t added = 0;
   for (uint32_t i = 0; i < n; ++i) {
     const Term* args = terms + static_cast<std::size_t>(i) * arity;
     const uint64_t hash = HashAtomTerms(pred, args, arity);
     const std::size_t slot = DedupSlotFor(hash, pred, args, arity);
-    if (dedup_ids_[slot] != kEmptySlot) continue;
+    if (dedup_[slot].id != kEmptySlot) continue;
     AppendRow(pred, args, arity, hash, slot);
     ++added;
   }
@@ -180,11 +154,11 @@ std::optional<AtomId> Instance::Find(const Atom& atom) const {
 
 std::optional<AtomId> Instance::FindTerms(PredicateId pred, const Term* args,
                                           uint32_t arity) const {
-  if (dedup_ids_.empty()) return std::nullopt;
+  if (dedup_.empty()) return std::nullopt;
   const uint64_t hash = HashAtomTerms(pred, args, arity);
   const std::size_t slot = DedupSlotFor(hash, pred, args, arity);
-  if (dedup_ids_[slot] == kEmptySlot) return std::nullopt;
-  return dedup_ids_[slot];
+  if (dedup_[slot].id == kEmptySlot) return std::nullopt;
+  return dedup_[slot].id;
 }
 
 std::vector<Atom> Instance::MaterializeAtoms() const {
@@ -196,27 +170,18 @@ std::vector<Atom> Instance::MaterializeAtoms() const {
   return out;
 }
 
-const std::vector<AtomId>& Instance::AtomsWithPredicate(
-    PredicateId pred) const {
-  if (pred >= by_predicate_.size()) return EmptyIdList();
-  return by_predicate_[pred];
+PostingList Instance::AtomsWithPredicate(PredicateId pred) const {
+  if (pred >= by_predicate_.size()) return PostingList();
+  const std::vector<AtomId>& ids = by_predicate_[pred];
+  return PostingList(ids.data(), static_cast<uint32_t>(ids.size()));
 }
 
 uint32_t Instance::CountWithPredicateSince(PredicateId pred,
                                            AtomId watermark) const {
-  const std::vector<AtomId>& ids = AtomsWithPredicate(pred);
+  const PostingList ids = AtomsWithPredicate(pred);
   // Append order means the list is sorted by id.
-  auto it = std::lower_bound(ids.begin(), ids.end(), watermark);
+  const AtomId* it = std::lower_bound(ids.begin(), ids.end(), watermark);
   return static_cast<uint32_t>(ids.end() - it);
-}
-
-const std::vector<AtomId>& Instance::AtomsWithTermAt(PredicateId pred,
-                                                     uint32_t position,
-                                                     Term term) const {
-  const uint32_t slot =
-      position_index_.Find(PositionKey(pred, position, term));
-  if (slot == FlatIndex64::kNotFound) return EmptyIdList();
-  return postings_[slot];
 }
 
 PostingView Instance::PredicatePostings(PredicateId pred, MatchRange range,
@@ -249,13 +214,12 @@ void Instance::ReserveAdditional(uint64_t extra_atoms, uint64_t extra_terms) {
   records_.reserve(records_.size() + extra_atoms);
   AccountGrowth(before, VectorBytes(records_));
   GrowDedup(records_.size() + extra_atoms);
-  // Worst case every new argument position opens a fresh index key.
+  // Worst case every new argument position opens a fresh index key, and
+  // each term takes one pool slot (relocations beyond that grow the pool
+  // geometrically).
   before = position_index_.capacity_bytes();
-  position_index_.Reserve(position_index_.size() + extra_terms);
+  position_index_.Reserve(extra_terms, extra_terms);
   AccountGrowth(before, position_index_.capacity_bytes());
-  before = VectorBytes(postings_);
-  postings_.reserve(postings_.size() + extra_terms);
-  AccountGrowth(before, VectorBytes(postings_));
 }
 
 uint64_t Instance::EstimateReserveBytes(uint64_t extra_atoms,
@@ -263,8 +227,7 @@ uint64_t Instance::EstimateReserveBytes(uint64_t extra_atoms,
   // Mirrors ReserveAdditional site by site: each term is the byte delta
   // the corresponding reserve would commit right now. `vector::reserve`
   // to at most the current capacity is a no-op; the two hash tables grow
-  // by their exact doubling policy (12 bytes/slot each: u64 key/hash +
-  // u32 value/id).
+  // by their exact doubling policy.
   uint64_t extra = 0;
   const uint64_t want_terms = arena_.size() + extra_terms;
   if (want_terms > arena_.capacity()) {
@@ -276,21 +239,8 @@ uint64_t Instance::EstimateReserveBytes(uint64_t extra_atoms,
   }
   const std::size_t dedup_capacity =
       GrownDedupCapacity(records_.size() + extra_atoms);
-  if (dedup_capacity > dedup_ids_.size()) {
-    extra += (dedup_capacity - dedup_ids_.size()) *
-             (sizeof(uint64_t) + sizeof(AtomId));
-  }
-  const std::size_t index_capacity =
-      position_index_.CapacityFor(position_index_.size() + extra_terms);
-  if (index_capacity > position_index_.capacity_slots()) {
-    extra += (index_capacity - position_index_.capacity_slots()) *
-             (sizeof(uint64_t) + sizeof(uint32_t));
-  }
-  const uint64_t want_postings = postings_.size() + extra_terms;
-  if (want_postings > postings_.capacity()) {
-    extra += (want_postings - postings_.capacity()) *
-             sizeof(std::vector<AtomId>);
-  }
+  extra += (dedup_capacity - dedup_.size()) * sizeof(DedupSlot);
+  extra += position_index_.ReserveBytes(extra_terms, extra_terms);
   return extra;
 }
 

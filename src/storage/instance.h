@@ -14,11 +14,6 @@
 
 namespace gchase {
 
-/// Dense id of an atom within an Instance; ids are append-ordered and
-/// stable, which lets callers use an id watermark as a "delta" boundary
-/// for semi-naive evaluation.
-using AtomId = uint32_t;
-
 /// Which atoms of the instance a conjunct may match; used for semi-naive
 /// trigger discovery (every new homomorphism must touch the delta). Lives
 /// with the storage layer because the posting-list probe API clips to a
@@ -49,12 +44,12 @@ struct PostingView {
 /// engine's visit count for scanning this list. Exposed inline so hot
 /// executor loops can probe raw lists (hash lookup only) and clip just the
 /// list they actually scan.
-inline PostingView ClipPostings(const std::vector<AtomId>& ids,
-                                MatchRange range, AtomId watermark) {
+inline PostingView ClipPostings(PostingList ids, MatchRange range,
+                                AtomId watermark) {
   PostingView view;
-  view.begin = ids.data();
-  view.end = ids.data() + ids.size();
-  view.full_size = static_cast<uint32_t>(ids.size());
+  view.begin = ids.begin();
+  view.end = ids.end();
+  view.full_size = ids.size();
   if (range == MatchRange::kAll) return view;
   const AtomId* split = std::lower_bound(view.begin, view.end, watermark);
   if (range == MatchRange::kOldOnly) {
@@ -70,12 +65,14 @@ inline PostingView ClipPostings(const std::vector<AtomId>& ids,
 ///  - all atom arguments live in one contiguous TermArena; an atom is a
 ///    (predicate, offset, arity) record, read through AtomView — no
 ///    per-atom heap allocation;
-///  - content-hash dedup via an open-addressing table that hashes each
-///    probe atom exactly once (TryAdd = Contains + Insert in one probe);
+///  - content-hash dedup via an open-addressing table of 8-byte
+///    {low 32 hash bits, atom id} slots that hashes each probe atom
+///    exactly once (TryAdd = Contains + Insert in one probe);
 ///  - a per-predicate atom list;
-///  - a (predicate, position, term) -> atoms position index over a flat
-///    SoA hash table (FlatIndex64), used by the homomorphism engine to
-///    seed joins. Posting lists are append-ordered AtomId arrays.
+///  - a (predicate, position, term) -> atoms PositionIndex, used by the
+///    join engines to seed and extend matches: 16-byte slots pointing at
+///    append-ordered runs of one shared AtomId pool, so no key owns a
+///    heap block.
 ///
 /// Thread-safety contract: all const members are safe to call from any
 /// number of threads concurrently as long as no thread is mutating (there
@@ -83,9 +80,10 @@ inline PostingView ClipPostings(const std::vector<AtomId>& ids,
 /// parallel trigger-discovery phase relies on exactly this: workers share
 /// one read-only Instance between mutation-free phases.
 ///
-/// Invalidation contract: AtomViews, TermSpans and posting-list
-/// references borrow from the instance's internal arrays and are
-/// invalidated by the next TryAdd/Insert/ReserveAdditional. AtomIds are
+/// Invalidation contract: AtomViews, TermSpans and PostingLists borrow
+/// from the instance's internal arrays and are invalidated by the next
+/// TryAdd/TryAddBatch/Insert/ReserveAdditional — any insert may relocate
+/// a posting run or reallocate the pool under every list. AtomIds are
 /// stable forever.
 class Instance {
  public:
@@ -180,7 +178,7 @@ class Instance {
   std::vector<Atom> MaterializeAtoms() const;
 
   /// Ids of atoms with this predicate (append order).
-  const std::vector<AtomId>& AtomsWithPredicate(PredicateId pred) const;
+  PostingList AtomsWithPredicate(PredicateId pred) const;
 
   /// Number of atoms with this predicate whose id is >= `watermark` —
   /// the per-predicate delta cardinality, O(log n) via the append-ordered
@@ -188,9 +186,10 @@ class Instance {
   uint32_t CountWithPredicateSince(PredicateId pred, AtomId watermark) const;
 
   /// Ids of atoms with `term` at `position` of `pred` (append order).
-  const std::vector<AtomId>& AtomsWithTermAt(PredicateId pred,
-                                             uint32_t position,
-                                             Term term) const;
+  PostingList AtomsWithTermAt(PredicateId pred, uint32_t position,
+                              Term term) const {
+    return position_index_.Find(PositionIndex::Key(pred, position, term));
+  }
 
   /// Range-clipped view of AtomsWithPredicate(pred): the ids in `range`
   /// relative to `watermark`, found by binary search on the append-ordered
@@ -206,35 +205,41 @@ class Instance {
   uint32_t CountNulls() const;
 
   /// Distinct (predicate, position, term) keys in the position index.
-  uint64_t PositionIndexKeys() const { return position_index_.size(); }
+  uint64_t PositionIndexKeys() const { return position_index_.keys(); }
 
   /// Total posting-list entries across the position index (equals the sum
   /// of atom arities). Maintained as a plain counter so observability
   /// layers can sample it in O(1).
-  uint64_t PositionIndexEntries() const { return position_entries_; }
+  uint64_t PositionIndexEntries() const { return position_index_.entries(); }
+
+  /// Pool slots the position index has claimed: the entries plus the
+  /// unfilled run tails and the ranges abandoned by relocated runs — the
+  /// space cost of keeping every run contiguous.
+  uint64_t PositionPoolSlots() const { return position_index_.pool_slots(); }
 
   /// Pre-sizes the arena, record array, dedup table and position index
-  /// for `extra_atoms` more atoms carrying `extra_terms` arguments in
-  /// total, so a bulk-add phase (delta application) proceeds without
-  /// mid-flight rehashing or reallocation. A hint: overestimates waste
-  /// only reserved capacity, underestimates fall back to geometric
-  /// growth.
+  /// (its slots, and one pool slot per term) for `extra_atoms` more atoms
+  /// carrying `extra_terms` arguments in total, so a bulk-add phase
+  /// (delta application) proceeds without mid-flight rehashing. A hint:
+  /// overestimates waste only reserved capacity; underestimates, and
+  /// posting runs that relocate, fall back to geometric pool growth.
   void ReserveAdditional(uint64_t extra_atoms, uint64_t extra_terms);
 
   /// Bytes an equivalent ReserveAdditional(extra_atoms, extra_terms)
   /// would allocate right now, projected from the exact growth policies
-  /// of every structure (vector reserve; dedup table and position index
-  /// at max load 1/2, 12 bytes/slot, power-of-two doubling). Memory
-  /// governance hoists its budget check to this projection so a denial
-  /// happens *before* the reserve commits the bytes. Excludes the inner
-  /// per-predicate / posting-list vectors, whose geometric growth the
-  /// governed per-trigger checkpoints bound instead.
+  /// of every structure (vector reserve, the posting pool included; dedup
+  /// table at 8 and position index at 16 bytes/slot, both at max load
+  /// 1/2 with power-of-two doubling). Memory governance hoists its budget
+  /// check to this projection so a denial happens *before* the reserve
+  /// commits the bytes. Excludes the per-predicate lists and the pool
+  /// slots that run relocations claim beyond one per term, whose
+  /// geometric growth the governed per-trigger checkpoints bound instead.
   uint64_t EstimateReserveBytes(uint64_t extra_atoms,
                                 uint64_t extra_terms) const;
 
   /// Bytes of heap capacity this instance currently retains across its
   /// growth sites (arena, records, dedup table, per-predicate lists,
-  /// position index, posting lists). Maintained incrementally — O(1) to
+  /// position index slots and posting pool). Maintained incrementally — O(1) to
   /// read. Copies inherit the source's figure, which upper-bounds their
   /// own allocation (a copied vector trims capacity to size).
   uint64_t MemoryFootprint() const { return footprint_bytes_; }
@@ -253,12 +258,14 @@ class Instance {
  private:
   static constexpr AtomId kEmptySlot = 0xffffffffu;
 
-  static uint64_t PositionKey(PredicateId pred, uint32_t position, Term term) {
-    GCHASE_CHECK(position < 256);
-    GCHASE_CHECK(pred < (1u << 24));
-    return (static_cast<uint64_t>(term.raw()) << 32) |
-           (static_cast<uint64_t>(pred) << 8) | position;
-  }
+  /// One dedup slot: the low 32 bits of the atom's content hash and its
+  /// id (kEmptySlot = free). The stored bits filter probes and place the
+  /// entry on rehash, which stays exact while the table has at most 2^32
+  /// slots — at most 2^31 atoms at max load 1/2.
+  struct DedupSlot {
+    uint32_t hash = 0;
+    AtomId id = kEmptySlot;
+  };
 
   /// True if stored atom `id` equals (pred, args).
   bool RecordEquals(AtomId id, PredicateId pred, const Term* args,
@@ -281,10 +288,8 @@ class Instance {
   /// Slot count GrowDedup(want) would leave the table at (its exact
   /// policy: max load 1/2, power-of-two doubling from 16).
   std::size_t GrownDedupCapacity(std::size_t want) const {
-    if (!dedup_ids_.empty() && want * 2 <= dedup_ids_.size()) {
-      return dedup_ids_.size();
-    }
-    std::size_t capacity = dedup_ids_.empty() ? 16 : dedup_ids_.size();
+    if (!dedup_.empty() && want * 2 <= dedup_.size()) return dedup_.size();
+    std::size_t capacity = dedup_.empty() ? 16 : dedup_.size();
     while (want * 2 > capacity) capacity *= 2;
     return capacity;
   }
@@ -348,15 +353,11 @@ class Instance {
 
   TermArena arena_;
   std::vector<AtomRecord> records_;
-  /// Open-addressing dedup: parallel hash/id arrays (id kEmptySlot =
-  /// free). Stored hashes make rehash-on-grow a move, not a recompute.
-  std::vector<uint64_t> dedup_hashes_;
-  std::vector<AtomId> dedup_ids_;
+  /// Open-addressing dedup; stored hash bits make rehash-on-grow a move,
+  /// not a recompute.
+  std::vector<DedupSlot> dedup_;
   std::vector<std::vector<AtomId>> by_predicate_;
-  /// (pred, pos, term) key -> slot in postings_.
-  FlatIndex64 position_index_;
-  std::vector<std::vector<AtomId>> postings_;
-  uint64_t position_entries_ = 0;
+  PositionIndex position_index_;
   /// Retained heap capacity across all growth sites; see MemoryFootprint.
   uint64_t footprint_bytes_ = 0;
   BudgetAttachment budget_;

@@ -181,6 +181,66 @@ TEST(EdbSeed, ArityConflictWithRulesFailsSeedStatus) {
   EXPECT_FALSE(run.seed_status().ok());
 }
 
+std::string DistinctEdgeCsv(int rows) {
+  std::string text;
+  for (int i = 0; i < rows; ++i) {
+    text += "edge,node" + std::to_string(i) + ",node" +
+            std::to_string(i + 1) + "\n";
+  }
+  return text;
+}
+
+TEST(EdbSeed, ChargesTheVocabularyReserveUntilTheRunEnds) {
+  auto edb = MustLoadCsv(DistinctEdgeCsv(3000));
+  StatusOr<ParsedProgram> program =
+      ParseProgram("edge(X,Y) -> touched(X).\n");
+  ASSERT_TRUE(program.ok());
+  auto budget = std::make_shared<MemoryBudget>();
+  ChaseOptions options;
+  options.max_atoms = 100000;
+  options.memory_budget = budget;
+  Vocabulary& vocabulary = program->vocabulary;
+  const uint64_t vocabulary_before = vocabulary.constants.capacity_bytes();
+  {
+    ChaseRun run(program->rules, options, *edb, &vocabulary);
+    ASSERT_TRUE(run.seed_status().ok());
+    const uint64_t vocabulary_growth =
+        vocabulary.constants.capacity_bytes() - vocabulary_before;
+    ASSERT_GT(vocabulary_growth, 0u);
+    // The seed charged the instance and the vocabulary, nothing else.
+    const uint64_t seeded =
+        run.instance().MemoryFootprint() + vocabulary_growth;
+    EXPECT_EQ(budget->in_use_bytes(), seeded);
+    ASSERT_EQ(run.Execute(), ChaseOutcome::kTerminated);
+    EXPECT_GE(run.stats().peak_memory_bytes, seeded);
+  }
+  // The vocabulary outlives the run, but its charge does not.
+  EXPECT_EQ(budget->in_use_bytes(), 0u);
+}
+
+TEST(EdbSeed, BudgetBelowInstancePlusVocabularyTripsAtSeed) {
+  auto edb = MustLoadCsv(DistinctEdgeCsv(3000));
+  StatusOr<ParsedProgram> program =
+      ParseProgram("edge(X,Y) -> touched(X).\n");
+  ASSERT_TRUE(program.ok());
+  const uint64_t instance_reserve =
+      Instance().EstimateReserveBytes(edb->TotalRows(), 2 * edb->TotalRows());
+  const uint64_t vocabulary_reserve =
+      program->vocabulary.constants.ReserveBytes(
+          edb->dictionary().size(), edb->dictionary().name_bytes());
+  ASSERT_GT(vocabulary_reserve, 0u);
+  // Room for the instance's reserve alone, not for both.
+  ChaseOptions options;
+  options.max_atoms = 100000;
+  options.max_memory_bytes = instance_reserve + vocabulary_reserve / 2;
+  ChaseRun run(program->rules, options, *edb, &program->vocabulary);
+  ASSERT_TRUE(run.seed_status().ok());
+  EXPECT_EQ(run.Execute(), ChaseOutcome::kMemoryBudgetExceeded);
+  EXPECT_EQ(run.instance().size(), 0u);  // stopped at seed, not in a round
+  EXPECT_TRUE(run.stats().per_round.empty());
+  EXPECT_GE(run.stats().memory_denials, 1u);
+}
+
 TEST(EdbSeed, BitIdenticalToParserSeededChase) {
   const std::string rules =
       "edge(X,Y) -> touched(X).\n"

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "base/memory_budget.h"
 #include "gtest/gtest.h"
 #include "model/atom.h"
 #include "model/vocabulary.h"
@@ -337,6 +338,172 @@ TEST(InstanceTest, TryAddBatchEmptyAndZeroArity) {
   EXPECT_EQ(instance.TryAddBatch(2, dummy, 0, 3), 1u);
   EXPECT_EQ(instance.size(), 1u);
   EXPECT_TRUE(instance.Contains(Atom(2, {})));
+}
+
+// -------------------------------------------------------------------------
+// Posting runs: every position list is a run inside one shared pool that
+// relocates as it fills. Readers must see exactly the per-key vector the
+// runs replaced.
+
+std::vector<AtomId> ToVector(PostingList list) {
+  return std::vector<AtomId>(list.begin(), list.end());
+}
+
+TEST(InstanceTest, PostingRunsMatchAReferenceThroughEveryRelocation) {
+  // Key k of position 0 receives an atom every (k + 1)-th step, so runs
+  // of different lengths fill and relocate interleaved with each other;
+  // key 0 grows through every size from 1 to 1,025, crossing each power
+  // of two. Position 1 holds a fresh constant per atom (runs of one).
+  constexpr uint32_t kKeys = 7;
+  constexpr uint32_t kSteps = 1025;
+  Instance instance;
+  std::vector<std::vector<AtomId>> reference(kKeys);
+  uint32_t next_constant = 1000;
+  for (uint32_t step = 0; step < kSteps; ++step) {
+    for (uint32_t key = 0; key < kKeys; ++key) {
+      if (step % (key + 1) != 0) continue;
+      auto [id, inserted] =
+          instance.TryAdd(MakeAtom(0, {key, next_constant}));
+      ASSERT_TRUE(inserted);
+      reference[key].push_back(id);
+      ASSERT_EQ(ToVector(instance.AtomsWithTermAt(
+                    0, 1, Term::Constant(next_constant))),
+                std::vector<AtomId>{id});
+      ++next_constant;
+    }
+    for (uint32_t key = 0; key < kKeys; ++key) {
+      ASSERT_EQ(ToVector(instance.AtomsWithTermAt(0, 0, Term::Constant(key))),
+                reference[key])
+          << "key " << key << " after step " << step;
+    }
+  }
+  EXPECT_EQ(reference[0].size(), kSteps);
+  EXPECT_EQ(instance.PositionIndexKeys(), kKeys + instance.size());
+  EXPECT_EQ(instance.PositionIndexEntries(), 2u * instance.size());
+  // A run of n entries has claimed 2 * nextpow2(n) - 1 < 4n pool slots.
+  EXPECT_GE(instance.PositionPoolSlots(), instance.PositionIndexEntries());
+  EXPECT_LT(instance.PositionPoolSlots(), 4 * instance.PositionIndexEntries());
+}
+
+TEST(InstanceTest, ClipPostingsOverARunMatchesALinearFilter) {
+  Instance instance;
+  std::vector<AtomId> reference;
+  for (uint32_t i = 0; i < 300; ++i) {
+    // Every third atom carries the probed key; the others interleave
+    // other keys, so the run's ids are sparse and it relocates mid-way.
+    const uint32_t key = i % 3 == 0 ? 7 : 8 + i;
+    auto [id, inserted] = instance.TryAdd(MakeAtom(2, {key, i}));
+    ASSERT_TRUE(inserted);
+    if (key == 7) reference.push_back(id);
+  }
+  const PostingList run = instance.AtomsWithTermAt(2, 0, Term::Constant(7));
+  ASSERT_EQ(ToVector(run), reference);
+  for (AtomId watermark :
+       {0u, 1u, 3u, 4u, 150u, 297u, 298u, 299u, 300u, 1000u}) {
+    for (MatchRange range :
+         {MatchRange::kAll, MatchRange::kOldOnly, MatchRange::kDeltaOnly}) {
+      std::vector<AtomId> expected;
+      for (AtomId id : reference) {
+        if (range == MatchRange::kAll ||
+            (range == MatchRange::kOldOnly) == (id < watermark)) {
+          expected.push_back(id);
+        }
+      }
+      const PostingView view = ClipPostings(run, range, watermark);
+      EXPECT_EQ(std::vector<AtomId>(view.begin, view.end), expected)
+          << "watermark " << watermark << " range " << static_cast<int>(range);
+      EXPECT_EQ(view.full_size, reference.size());
+      const PostingView via_instance = instance.PositionPostings(
+          2, 0, Term::Constant(7), range, watermark);
+      EXPECT_EQ(via_instance.begin, view.begin);
+      EXPECT_EQ(via_instance.end, view.end);
+    }
+  }
+}
+
+TEST(InstanceTest, KeysDifferingInOneComponentNeverShareARun) {
+  // Each pair below differs only in the predicate, only in the position
+  // or only in the term (value, or constant vs null of the same index).
+  Instance instance;
+  auto add = [&instance](PredicateId pred, Term first, Term second) {
+    return instance.TryAdd(Atom(pred, {first, second})).first;
+  };
+  auto run = [&instance](PredicateId pred, uint32_t position, Term term) {
+    return ToVector(instance.AtomsWithTermAt(pred, position, term));
+  };
+  const Term c5 = Term::Constant(5), c6 = Term::Constant(6);
+  const Term c8 = Term::Constant(8), c9 = Term::Constant(9);
+  const AtomId a = add(1, c5, c9);
+  const AtomId b = add(2, c5, c9);
+  const AtomId c = add(1, c9, c5);
+  const AtomId d = add(1, Term::Null(5), c8);
+  const AtomId e = add(1, c6, c8);
+  const AtomId f = add(256, c5, c9);
+  using Ids = std::vector<AtomId>;
+  EXPECT_EQ(run(1, 0, c5), Ids{a});
+  EXPECT_EQ(run(2, 0, c5), Ids{b});
+  EXPECT_EQ(run(256, 0, c5), Ids{f});
+  EXPECT_EQ(run(1, 1, c5), Ids{c});
+  EXPECT_EQ(run(1, 0, Term::Null(5)), Ids{d});
+  EXPECT_EQ(run(1, 0, c6), Ids{e});
+  EXPECT_EQ(run(1, 1, c9), Ids{a});
+  EXPECT_EQ(run(1, 1, c8), (Ids{d, e}));
+  EXPECT_TRUE(instance.AtomsWithTermAt(3, 0, Term::Constant(5)).empty());
+  EXPECT_TRUE(instance.AtomsWithTermAt(1, 1, Term::Null(9)).empty());
+  EXPECT_EQ(instance.PositionIndexKeys(), 11u);
+}
+
+TEST(InstanceTest, CopiedInstanceReturnsEqualRuns) {
+  Instance original;
+  for (uint32_t i = 0; i < 500; ++i) {
+    original.TryAdd(MakeAtom(i % 3, {i % 11, i}));
+  }
+  const Instance copy = original;
+  ASSERT_EQ(copy.size(), original.size());
+  EXPECT_EQ(copy.PositionIndexKeys(), original.PositionIndexKeys());
+  for (PredicateId pred = 0; pred < 3; ++pred) {
+    EXPECT_EQ(copy.AtomsWithPredicate(pred),
+              original.AtomsWithPredicate(pred));
+    for (uint32_t key = 0; key < 11; ++key) {
+      const Term term = Term::Constant(key);
+      const PostingList copied = copy.AtomsWithTermAt(pred, 0, term);
+      const PostingList source = original.AtomsWithTermAt(pred, 0, term);
+      EXPECT_FALSE(copied.empty());
+      EXPECT_EQ(copied, source);
+      EXPECT_NE(copied.begin(), source.begin());  // separate storage
+    }
+  }
+  for (uint32_t i = 0; i < 500; ++i) {
+    EXPECT_EQ(copy.AtomsWithTermAt(i % 3, 1, Term::Constant(i)),
+              original.AtomsWithTermAt(i % 3, 1, Term::Constant(i)));
+  }
+}
+
+TEST(InstanceTest, FootprintTracksTheBudgetThroughMixedGrowth) {
+  MemoryBudget budget;
+  Instance instance;
+  instance.SetMemoryBudget(&budget);
+  std::vector<Term> rows;
+  for (uint32_t round = 0; round < 6; ++round) {
+    // Per-atom inserts past any reserve: runs relocate and the pool grows
+    // geometrically.
+    for (uint32_t i = 0; i < 200; ++i) {
+      instance.TryAdd(MakeAtom(0, {i % 5, round * 1000 + i}));
+    }
+    EXPECT_EQ(budget.in_use_bytes(), instance.MemoryFootprint());
+    rows.clear();
+    for (uint32_t i = 0; i < 300; ++i) {
+      rows.push_back(Term::Constant(i % 4));
+      rows.push_back(Term::Constant(round * 1000 + i % 150));
+    }
+    instance.TryAddBatch(1, rows.data(), 2, 300);
+    EXPECT_EQ(budget.in_use_bytes(), instance.MemoryFootprint());
+    instance.ReserveAdditional(round * 40, round * 90);
+    EXPECT_EQ(budget.in_use_bytes(), instance.MemoryFootprint());
+  }
+  EXPECT_GT(instance.PositionPoolSlots(), instance.PositionIndexEntries());
+  instance.SetMemoryBudget(nullptr);
+  EXPECT_EQ(budget.in_use_bytes(), 0u);
 }
 
 }  // namespace
