@@ -115,7 +115,6 @@ inline std::string ChaseStatsToJson(const ChaseStats& stats) {
     out += ", \"reserve_ms\": " + JsonNumber(round.reserve_seconds * 1e3);
     out += ", \"round_ms\": " + JsonNumber(round.total_seconds * 1e3);
     out += ", \"estimated_work\": " + JsonNumber(round.estimated_work);
-    out += ", \"batched_triggers\": " + JsonNumber(round.batched_triggers);
     out += ", \"batch_blocks\": " + JsonNumber(round.batch_blocks);
     out += ", \"plan_units\": " + JsonNumber(round.plan_units);
     out += ", \"fallback_units\": " + JsonNumber(round.fallback_units);

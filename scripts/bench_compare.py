@@ -5,8 +5,8 @@ Usage:
     scripts/bench_compare.py BASELINE.json CANDIDATE.json [--threshold 0.10]
 
 Rows are matched on the (workload, variant, threads) key across whichever
-row arrays the two files share ("runs" for E9-style files, "discovery" /
-"storage" for E10-style files; storage rows match on (workload, op)).
+row arrays the two files share ("runs" for E9/E12-style files, "storage"
+for E13-style files; storage rows match on (workload, op)).
 For every timing field present in both matched rows (any numeric field
 ending in "_ms"), the candidate must not be more than THRESHOLD slower
 than the baseline. Exit status is nonzero if any matched row regresses,
@@ -20,10 +20,9 @@ import sys
 
 
 # Logical row pools: each pool lists the array keys that hold rows of that
-# shape, so an E9-style file ("runs") diffs cleanly against an E10-style
-# file ("discovery") — the identity, not the array name, matches rows.
+# shape and the fields that identify a row.
 ROW_POOLS = (
-    ("chase", ("runs", "discovery"), ("workload", "variant", "threads")),
+    ("chase", ("runs",), ("workload", "variant", "threads")),
     ("storage", ("storage",), ("workload", "op")),
 )
 

@@ -4,7 +4,8 @@
 # only concurrency in the codebase; see docs/architecture.md §chase), then
 # the governor/abort-path tests under ASan+UBSan (abort paths unwind
 # partially-built state, exactly where lifetime bugs hide), then the perf
-# smoke against the committed E10 baseline, then a short differential
+# smoke (every perfbench workload at its tiny size, plus the E12 and E13
+# benches against their committed baselines), then a short differential
 # fuzzing campaign (see docs/fuzzing.md), then the 1M-atom EDB bulk-load
 # smoke (the same gate CI's bulk-load-smoke job runs), then the run-report
 # smoke: one instrumented chase run whose stats + metrics + trace-summary
@@ -19,7 +20,8 @@
 #   10  tier-1    build or full ctest suite failed
 #   11  tsan      race check of the parallel discovery phase failed
 #   12  asan      abort-path leak/UB check failed
-#   13  perf      bench smoke failed or regressed vs BENCH_e10.json
+#   13  perf      a perfbench workload failed or was incorrect, or the E12 /
+#                 E13 smoke regressed vs its committed baseline
 #   14  fuzz      differential-oracle campaign found a violation
 #   15  bulkload  1M-atom EDB bulk-load smoke failed
 #   16  report    instrumented run or report generation failed
@@ -150,22 +152,31 @@ tier_asan() {
 }
 
 tier_perf() {
-  # Tier 4 (perf smoke): run E10 and E12 on their smallest workloads in
-  # the tier-1 build. This is a correctness smoke for the bench harness
-  # plus a coarse perf tripwire — if a committed baseline exists, diff
-  # the fresh smoke rows against it and fail on regressions of matched
-  # (workload, variant, threads) rows. Smoke rows are a subset, so extra
-  # baseline rows are ignored by the comparator. E12's binary also
-  # asserts plan-vs-backtracking bit-identity on every row.
+  # Tier 4 (perf smoke): run every perfbench workload at its tiny size
+  # (its own build in .bench_build/, as the benchmark runs it). A workload
+  # fails the tier on a non-zero exit or a result whose "correct" is not
+  # true — each run checks its outputs against the benchmark's references.
+  # Then E12 and E13 on their smallest workloads, diffed against their
+  # committed baselines (smoke rows are a subset, so extra baseline rows
+  # are ignored). E12's binary also asserts plan-vs-backtracking
+  # bit-identity on every row, E13's the bit-identity of its seed paths.
+  local workload
+  for workload in chain_restricted_csv star_existential_snapshot \
+                  decide_suite; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0.3 \
+      --trace 0 --size tiny > "build/perf-$workload.out" &&
+    python3 - "build/perf-$workload.out" <<'PYEOF' || return 1
+import json, sys
+lines = open(sys.argv[1]).read().strip().splitlines()
+result = json.loads(lines[-1])
+assert result["correct"] is True, f"{sys.argv[1]}: {lines[-1]}"
+print(f"perf smoke: {sys.argv[1]} correct, {result['attempted']} ops")
+PYEOF
+  done
   cmake --build --preset default -j"$(nproc)" \
-    --target bench_e10_storage_executor bench_e12_join_plans \
-             bench_e13_bulk_load &&
-  (cd build/bench && ./bench_e10_storage_executor --smoke --benchmark_filter=none) &&
+    --target bench_e12_join_plans bench_e13_bulk_load &&
   (cd build/bench && ./bench_e12_join_plans --smoke --benchmark_filter=none) &&
   (cd build/bench && ./bench_e13_bulk_load --smoke --benchmark_filter=none) &&
-  { [[ ! -f BENCH_e10.json ]] ||
-    python3 scripts/bench_compare.py BENCH_e10.json build/bench/BENCH_e10.json \
-      --threshold 0.50; } &&
   { [[ ! -f BENCH_e12.json ]] ||
     python3 scripts/bench_compare.py BENCH_e12.json build/bench/BENCH_e12.json \
       --threshold 0.50; } &&

@@ -230,114 +230,6 @@ ChaseRun::HeadCheck ChaseRun::CheckHeadSatisfied(const Tgd& rule,
   return HeadCheck::kUnsatisfied;
 }
 
-bool ChaseRun::ApplyTrigger(uint32_t rule_index, const Term* binding,
-                            const AtomObserver& observer,
-                            ChaseOutcome* outcome) {
-  const Tgd& rule = rules_.rule(rule_index);
-
-  if (applied_triggers_ >= options_.max_steps) {
-    *outcome = ChaseOutcome::kResourceLimit;
-    return false;
-  }
-  // Overflow-safe null cap: compare headroom, never the sum (the sum can
-  // wrap when max_nulls is near the type maximum). The representable-id
-  // ceiling is folded in so exhausting Term's 30-bit null space is a clean
-  // resource limit rather than a checked abort deep in Term::Null.
-  const uint64_t null_cap = std::min(options_.max_nulls, kMaxLabeledNulls);
-  if (next_null_ > null_cap ||
-      rule.existential_variables().size() > null_cap - next_null_) {
-    *outcome = ChaseOutcome::kResourceLimit;
-    return false;
-  }
-  // Storage-growth checkpoint before this trigger materializes its head.
-  // Projected bytes are 0 — the round's bulk reserve already pre-sized
-  // for every pending head — but the level check still trips once
-  // steady-state growth (posting lists, arena doublings past the
-  // estimate) crosses the budget. Ordinal-identical to the batch path's
-  // checkpoint.
-  if (AllocationStop(0, outcome)) return false;
-  ++applied_triggers_;
-  ++stats_.per_rule[rule_index].applied;
-
-  // Extend the homomorphism with fresh nulls for the existential variables.
-  extended_scratch_.assign(binding, binding + rule.num_variables());
-  TriggerRecord record;
-  if (options_.track_provenance) {
-    record.rule = rule_index;
-    record.binding.assign(binding, binding + rule.num_variables());
-    record.body_atoms.reserve(rule.body().size());
-    for (const Atom& body_atom : rule.body()) {
-      SubstituteRow(body_atom, binding, &head_scratch_);
-      std::optional<AtomId> id = instance_.FindTerms(
-          body_atom.predicate, head_scratch_.data(), body_atom.arity());
-      GCHASE_CHECK(id.has_value());
-      record.body_atoms.push_back(*id);
-    }
-  }
-  for (VarId v : rule.existential_variables()) {
-    Term null = Term::Null(next_null_++);
-    extended_scratch_[v] = null;
-    if (options_.track_provenance) record.created_nulls.push_back(null);
-  }
-
-  const uint32_t trigger_index = static_cast<uint32_t>(triggers_.size());
-  AtomId parent_id = kNoAtomId;
-  uint32_t parent_depth = 0;
-  if (options_.track_provenance) {
-    const uint32_t guard = rule.guard_index().value_or(0);
-    parent_id = record.body_atoms[guard];
-    parent_depth = provenance_[parent_id].depth;
-  }
-
-  // The instance is append-only, so this trigger's new atoms are exactly
-  // the ids from here to the end.
-  const AtomId first_new = instance_.size();
-  bool over_atom_cap = false;
-  for (uint32_t h = 0; h < rule.head().size(); ++h) {
-    const Atom& head = rule.head()[h];
-    SubstituteRow(head, extended_scratch_.data(), &head_scratch_);
-    auto [id, inserted] = instance_.TryAddTerms(
-        head.predicate, head_scratch_.data(), head.arity());
-    if (options_.track_provenance) {
-      record.produced.push_back(id);
-      if (inserted) {
-        AtomProvenance prov;
-        prov.rule = rule_index;
-        prov.head_index = h;
-        prov.parent = parent_id;
-        prov.depth = parent_depth + 1;
-        prov.trigger = trigger_index;
-        provenance_.push_back(prov);
-        GCHASE_CHECK(provenance_.size() == instance_.size());
-      }
-    }
-    if (instance_.size() > options_.max_atoms) {
-      over_atom_cap = true;
-      break;
-    }
-  }
-  if (options_.track_provenance) triggers_.push_back(std::move(record));
-  // Notify only after the trigger record is in place: observers (e.g. the
-  // pump detector) follow provenance into triggers().
-  if (observer != nullptr) {
-    for (AtomId id = first_new; id < instance_.size(); ++id) {
-      if (!observer(id)) {
-        abort_requested_ = true;
-        break;
-      }
-    }
-  }
-  if (abort_requested_) {
-    *outcome = ChaseOutcome::kAborted;
-    return false;
-  }
-  if (over_atom_cap) {
-    *outcome = ChaseOutcome::kResourceLimit;
-    return false;
-  }
-  return true;
-}
-
 bool ChaseRun::GovernorStop(FaultSite site, uint64_t ordinal,
                             ChaseOutcome* outcome) const {
   if (options_.fault_injector) {
@@ -871,65 +763,12 @@ ChaseOutcome ChaseRun::ExecuteLoop(const AtomObserver& observer) {
 
     // Apply in the chosen order (always serial: application mutates the
     // instance, and restricted-chase semantics depend on the order).
-    // Set-at-a-time batch execution handles the common case; the
-    // per-trigger loop remains for observer and provenance runs, which
-    // need per-atom insertion hooks. Both paths are bit-identical —
-    // same atoms, ids, counters and abort points (pinned by the fuzz
-    // oracles) — so this is purely an execution-strategy choice.
     phase_timer.Restart();
     const uint64_t applied_before = applied_triggers_;
     GCHASE_TRACE_SPAN_PERF(TraceCategory::kChase, "chase.apply", rounds_ - 1,
                            PerfPhase::kApply);
-    const bool use_batch = options_.batch_apply && observer == nullptr &&
-                           !options_.track_provenance;
-    bool apply_ok = true;
-    if (use_batch) {
-      apply_ok = ApplyPendingBatch(pending, &round, &outcome);
-    } else {
-      // Per-rule application timing is threshold-gated: spans are
-      // recorded retroactively (phase 'X') only for triggers slower than
-      // the tracer's threshold, so a healthy run pays two clock reads per
-      // trigger when tracing is on and a single mask load when it is off.
-      Tracer& tracer = Tracer::Global();
-      const bool trace_triggers = tracer.enabled(TraceCategory::kChase);
-      for (const PendingTrigger& trigger : pending) {
-        // Per-trigger checkpoint: the apply phase stops between triggers,
-        // never mid-application, so provenance and dedup state stay
-        // consistent in the partial result.
-        if (GovernorStop(FaultSite::kTriggerApply, applied_triggers_,
-                         &outcome)) {
-          apply_ok = false;
-          break;
-        }
-        const uint64_t trigger_start_ns = trace_triggers ? tracer.NowNs() : 0;
-        const Tgd& rule = rules_.rule(trigger.rule);
-        if (options_.variant == ChaseVariant::kRestricted) {
-          const HeadCheck check =
-              CheckHeadSatisfied(rule, PendingRow(trigger), &outcome);
-          if (check == HeadCheck::kStopped) {
-            apply_ok = false;
-            break;
-          }
-          if (check == HeadCheck::kSatisfied) {
-            ++stats_.per_rule[trigger.rule].skipped_satisfied;
-            continue;  // Satisfied triggers are skipped, permanently
-                       // (monotone).
-          }
-        }
-        const bool applied = ApplyTrigger(trigger.rule, PendingRow(trigger),
-                                          observer, &outcome);
-        if (trace_triggers) {
-          const uint64_t now_ns = tracer.NowNs();
-          tracer.RecordComplete(TraceCategory::kChase, "chase.apply_rule",
-                                trigger_start_ns, now_ns - trigger_start_ns,
-                                trigger.rule);
-        }
-        if (!applied) {
-          apply_ok = false;
-          break;
-        }
-      }
-    }
+    const bool apply_ok =
+        ApplyPendingBatch(pending, observer, &round, &outcome);
     round.applied = applied_triggers_ - applied_before;
     round.apply_seconds = phase_timer.ElapsedSeconds();
     round.total_seconds = round_timer.ElapsedSeconds();
@@ -1001,7 +840,7 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
   sink.Counter("chase.triggers_skipped_satisfied")->Add(skipped);
   uint64_t estimated_work = 0;
   uint64_t discovery_us = 0, apply_us = 0, reserve_us = 0, round_us = 0;
-  uint64_t batched_triggers = 0, batch_blocks = 0;
+  uint64_t batch_blocks = 0;
   uint64_t plan_units = 0, fallback_units = 0, binding_rows = 0;
   constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
   for (const RoundStats& round : stats.per_round) {
@@ -1012,7 +851,6 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
     apply_us += static_cast<uint64_t>(round.apply_seconds * 1e6);
     reserve_us += static_cast<uint64_t>(round.reserve_seconds * 1e6);
     round_us += static_cast<uint64_t>(round.total_seconds * 1e6);
-    batched_triggers += round.batched_triggers;
     batch_blocks += round.batch_blocks;
     plan_units += round.plan_units;
     fallback_units += round.fallback_units;
@@ -1027,7 +865,6 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
   sink.Counter("chase.apply_us")->Add(apply_us);
   sink.Counter("chase.reserve_us")->Add(reserve_us);
   sink.Counter("chase.round_us")->Add(round_us);
-  sink.Counter("chase.batched_triggers")->Add(batched_triggers);
   sink.Counter("chase.batch_blocks")->Add(batch_blocks);
   sink.Counter("chase.plan_units")->Add(plan_units);
   sink.Counter("chase.plan_fallback_units")->Add(fallback_units);

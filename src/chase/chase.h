@@ -64,9 +64,9 @@ enum class FaultSite {
                   ///< memory budget's pre-size denial sits, so injecting
                   ///< kMemoryBudget here exercises every byte-budget stop
                   ///< path without an actual multi-megabyte instance. The
-                  ///< ordinal sequence is identical between the batch and
-                  ///< per-trigger apply paths (pinned by the fuzz
-                  ///< oracles).
+                  ///< ordinal sequence does not depend on whether the run
+                  ///< stages head atoms or inserts them at once (see
+                  ///< track_provenance; pinned by the fuzz oracles).
 };
 
 /// What a fault injector forces at a checkpoint.
@@ -132,16 +132,13 @@ struct ChaseOptions {
   /// on high-fanout unguarded joins).
   uint64_t max_join_work = std::numeric_limits<uint64_t>::max();
   /// Record per-atom and per-trigger provenance (costs memory; required by
-  /// the termination deciders' pump detection).
+  /// the termination deciders' pump detection). A plain run stages a
+  /// round's head atoms into a columnar block and bulk-dedups them into
+  /// the store; a provenance or observer run inserts each trigger's head
+  /// atoms at once, since it needs their ids. The apply loop is the same
+  /// and so are the instance, atom ids and counters (pinned by the fuzz
+  /// oracles).
   bool track_provenance = false;
-  /// Set-at-a-time trigger application (the default). Head atoms of a
-  /// round's pending triggers are materialized into a columnar scratch
-  /// block and bulk-deduped into the store — no per-atom heap allocation.
-  /// The per-trigger path remains for observer and provenance runs (which
-  /// need per-atom insertion hooks) and as the differential baseline;
-  /// both paths produce bit-identical instances, atom ids and counters
-  /// (pinned by the fuzz oracles). Turn off to force per-trigger apply.
-  bool batch_apply = true;
   /// Compiled set-at-a-time join plans for trigger discovery (the
   /// default). Each rule body is compiled once at chase start into an
   /// ordered join plan; discovery then executes plannable rules (bodies
@@ -283,13 +280,11 @@ struct RoundStats {
   double total_seconds = 0.0;
   uint64_t estimated_work = 0;     ///< Join-work estimate driving cutover.
   bool parallel_discovery = false; ///< Round ran the parallel engine.
-  /// Triggers applied through the set-at-a-time executor this round (0 on
-  /// per-trigger rounds; equals `applied` on batch rounds).
-  uint64_t batched_triggers = 0;
   /// Bulk segments flushed into the store this round. One per maximal run
   /// of same-shape head atoms: a whole (semi-)oblivious round of a
   /// single-head rule is one block; restricted rounds flush before every
-  /// satisfaction check and so count one block per applied trigger.
+  /// satisfaction check and so count one block per applied trigger. 0 on
+  /// provenance and observer runs, which stage nothing.
   uint64_t batch_blocks = 0;
   /// Discovery units executed by the compiled-plan pipeline this round.
   uint64_t plan_units = 0;
@@ -460,26 +455,25 @@ class ChaseRun {
 
   /// Governed head-satisfaction check: true iff the rule head, under the
   /// frontier part of binding row `binding`, already maps into the
-  /// instance. Shared by the batch and per-trigger paths so join-work
-  /// accounting and abort points are identical. Checkpoints at
-  /// FaultSite::kHeadCheck on entry and threads the governor + join
-  /// budget into the search; full rules take a ground fast path (one
-  /// dedup probe per head atom, counted as one join-work visit each).
+  /// instance. Checkpoints at FaultSite::kHeadCheck on entry and threads
+  /// the governor + join budget into the search; full rules take a ground
+  /// fast path (one dedup probe per head atom, counted as one join-work
+  /// visit each).
   HeadCheck CheckHeadSatisfied(const Tgd& rule, const Term* binding,
                                ChaseOutcome* outcome);
 
-  /// Applies one trigger (`binding` is its row); returns false if a
-  /// resource cap was hit.
-  bool ApplyTrigger(uint32_t rule_index, const Term* binding,
-                    const AtomObserver& observer, ChaseOutcome* outcome);
-
-  /// Set-at-a-time application of a round's pending triggers (defined in
-  /// batch_apply.cc; see HeadBlock). Semantically bit-identical to the
-  /// per-trigger loop: same checkpoints, same cap trip points, same atom
-  /// ids, same counters. Returns false when the run must stop, with
-  /// *outcome set; staged atoms are always flushed before returning.
+  /// The chase's one apply loop: applies a round's pending triggers in
+  /// order (defined in batch_apply.cc). A plain run stages head atoms in
+  /// batch_block_ and flushes them in bulk (see HeadBlock); a run with an
+  /// `observer` or track_provenance inserts each head atom at once,
+  /// records the trigger and notifies the observer before the next
+  /// trigger. Both modes pass the same checkpoints and caps in the same
+  /// order and leave the same atoms, ids and counters. Returns false when
+  /// the run must stop, with *outcome set; staged atoms are always
+  /// flushed before returning.
   bool ApplyPendingBatch(const std::vector<PendingTrigger>& pending,
-                         RoundStats* round, ChaseOutcome* outcome);
+                         const AtomObserver& observer, RoundStats* round,
+                         ChaseOutcome* outcome);
 
   /// True if the run must stop here: consults the fault injector (when
   /// set) and then the governor, writing the abort outcome to *outcome.
@@ -492,8 +486,7 @@ class ChaseRun {
   /// GovernorStop(FaultSite::kAllocation, alloc_checks_++), but
   /// additionally denies the growth when charging `projected_bytes` more
   /// would cross the budget's hard limit (kMemoryBudgetExceeded before
-  /// the memory is committed). Bumps the shared ordinal counter, so the
-  /// batch and per-trigger paths see identical ordinals.
+  /// the memory is committed). Bumps the shared ordinal counter.
   bool AllocationStop(uint64_t projected_bytes, ChaseOutcome* outcome);
 
   /// The body of Execute(); the public wrapper adds the bad_alloc
@@ -613,7 +606,6 @@ class ChaseRun {
   /// (a 32-bit counter would silently recycle ids past 2^32).
   uint64_t next_null_ = 0;
   bool executed_ = false;
-  bool abort_requested_ = false;
   /// Set when the EDB seed was budget-denied (or the EDB's own load
   /// tripped the budget): Execute() returns kMemoryBudgetExceeded at its
   /// first checkpoint, with whatever prefix was seeded intact.

@@ -188,64 +188,66 @@ std::optional<bool> MapsInto(const Instance& from, const Instance& to,
 /// non-empty diff description on mismatch, "" when identical (or when a
 /// wall-clock abort made the pair incomparable — deterministic abort
 /// regimes are pinned by the fault-injection tests instead).
-std::string TwinDiff(const ChaseResult& batch, const ChaseResult& single) {
-  if (Aborted(batch.outcome) || Aborted(single.outcome)) return "";
-  if (batch.outcome != single.outcome) {
-    return std::string("outcome ") + ChaseOutcomeName(batch.outcome) +
-           " vs " + ChaseOutcomeName(single.outcome);
+std::string TwinDiff(const ChaseResult& first, const ChaseResult& second) {
+  if (Aborted(first.outcome) || Aborted(second.outcome)) return "";
+  if (first.outcome != second.outcome) {
+    return std::string("outcome ") + ChaseOutcomeName(first.outcome) +
+           " vs " + ChaseOutcomeName(second.outcome);
   }
-  if (batch.applied_triggers != single.applied_triggers ||
-      batch.rounds != single.rounds ||
-      batch.nulls_created != single.nulls_created ||
-      batch.hom_discoveries != single.hom_discoveries ||
-      batch.join_work != single.join_work) {
+  if (first.applied_triggers != second.applied_triggers ||
+      first.rounds != second.rounds ||
+      first.nulls_created != second.nulls_created ||
+      first.hom_discoveries != second.hom_discoveries ||
+      first.join_work != second.join_work) {
     return "run counters differ (applied " +
-           std::to_string(batch.applied_triggers) + " vs " +
-           std::to_string(single.applied_triggers) + ", rounds " +
-           std::to_string(batch.rounds) + " vs " +
-           std::to_string(single.rounds) + ", nulls " +
-           std::to_string(batch.nulls_created) + " vs " +
-           std::to_string(single.nulls_created) + ", homs " +
-           std::to_string(batch.hom_discoveries) + " vs " +
-           std::to_string(single.hom_discoveries) + ", join work " +
-           std::to_string(batch.join_work) + " vs " +
-           std::to_string(single.join_work) + ")";
+           std::to_string(first.applied_triggers) + " vs " +
+           std::to_string(second.applied_triggers) + ", rounds " +
+           std::to_string(first.rounds) + " vs " +
+           std::to_string(second.rounds) + ", nulls " +
+           std::to_string(first.nulls_created) + " vs " +
+           std::to_string(second.nulls_created) + ", homs " +
+           std::to_string(first.hom_discoveries) + " vs " +
+           std::to_string(second.hom_discoveries) + ", join work " +
+           std::to_string(first.join_work) + " vs " +
+           std::to_string(second.join_work) + ")";
   }
-  for (std::size_t r = 0; r < batch.stats.per_rule.size(); ++r) {
-    const RuleStats& a = batch.stats.per_rule[r];
-    const RuleStats& b = single.stats.per_rule[r];
+  for (std::size_t r = 0; r < first.stats.per_rule.size(); ++r) {
+    const RuleStats& a = first.stats.per_rule[r];
+    const RuleStats& b = second.stats.per_rule[r];
     if (a.discovered != b.discovered || a.applied != b.applied ||
         a.skipped_satisfied != b.skipped_satisfied) {
       return "per-rule stats differ at rule " + std::to_string(r);
     }
   }
-  if (batch.stats.per_round.size() != single.stats.per_round.size()) {
+  if (first.stats.per_round.size() != second.stats.per_round.size()) {
     return "per-round stats lengths differ";
   }
-  for (std::size_t r = 0; r < batch.stats.per_round.size(); ++r) {
-    const RoundStats& a = batch.stats.per_round[r];
-    const RoundStats& b = single.stats.per_round[r];
+  for (std::size_t r = 0; r < first.stats.per_round.size(); ++r) {
+    const RoundStats& a = first.stats.per_round[r];
+    const RoundStats& b = second.stats.per_round[r];
     if (a.delta_atoms != b.delta_atoms || a.candidates != b.candidates ||
         a.applied != b.applied) {
       return "per-round stats differ at round " + std::to_string(r);
     }
   }
   std::string why;
-  if (!InstancesIdentical(batch.instance, single.instance, &why)) return why;
+  if (!InstancesIdentical(first.instance, second.instance, &why)) return why;
   return "";
 }
 
-/// Differential twin for the set-at-a-time executor: runs `chase_options`
-/// once with batch apply and once per-trigger, and demands bit-identity.
+/// Differential twin for the apply loop's two modes: runs `chase_options`
+/// once plain (head atoms staged and flushed in bulk) and once with
+/// provenance (each head atom inserted at once, as the deciders run), and
+/// demands bit-identity.
 std::string BatchTwinDiff(const FuzzCase& fuzz_case,
                           ChaseOptions chase_options) {
-  chase_options.batch_apply = true;
-  ChaseResult batch =
+  chase_options.track_provenance = false;
+  ChaseResult staged =
       RunChase(fuzz_case.rules, chase_options, fuzz_case.database);
-  chase_options.batch_apply = false;
-  ChaseResult single =
+  chase_options.track_provenance = true;
+  ChaseResult eager =
       RunChase(fuzz_case.rules, chase_options, fuzz_case.database);
-  return TwinDiff(batch, single);
+  return TwinDiff(staged, eager);
 }
 
 /// Differential twin for the compiled-plan discovery engine: runs
@@ -297,7 +299,7 @@ std::string PlanTwinDiffAllRegimes(const FuzzCase& fuzz_case,
 /// BatchTwinDiff across cap regimes: uncapped (well, the oracle's ambient
 /// caps) plus regimes tightened around the base run's own footprint so a
 /// cap provably binds mid-run — the step cap, the atom cap and the null
-/// cap each get a twin pair. Cap trips are where the batch path's flush
+/// cap each get a twin pair. Cap trips are where a staged run's flush
 /// bookkeeping is subtlest, so they get explicit coverage.
 std::string BatchTwinDiffAllRegimes(const FuzzCase& fuzz_case,
                                     const ChaseOptions& chase_options,
@@ -542,15 +544,15 @@ OracleResult CheckParallelDeterminism(const FuzzCase& fuzz_case,
   if (Aborted(base.outcome)) {
     return Inconclusive("serial run aborted by governor");
   }
-  // The serial engine itself has two execution strategies now: batch
-  // (set-at-a-time) and per-trigger apply. Pin their bit-identity here,
-  // across cap regimes, before comparing thread counts — a parallel run
-  // compared against a drifting serial baseline proves nothing.
+  // The apply loop stages head atoms on plain runs and inserts them at
+  // once on provenance runs. Pin their bit-identity here, across cap
+  // regimes, before comparing thread counts — a parallel run compared
+  // against a drifting serial baseline proves nothing.
   const std::string batch_diff =
       BatchTwinDiffAllRegimes(fuzz_case, serial, base);
   if (!batch_diff.empty()) {
     return Violation(
-        "batch apply is not bit-identical to per-trigger apply (serial, "
+        "a plain run is not bit-identical to a provenance run (serial, "
         "restricted): " +
         batch_diff);
   }
@@ -694,10 +696,10 @@ OracleResult CheckOrderEquivalence(const FuzzCase& fuzz_case,
     // probe — so this is not a violation).
   }
 
-  // Batch-vs-per-trigger bit-identity across the full (variant, order)
+  // Plain-vs-provenance bit-identity across the full (variant, order)
   // grid. Restricted is the order-sensitive — and flush-sensitive — case;
-  // (semi-)oblivious rounds batch whole rounds and are covered for the
-  // segmented-flush and contiguous-null-range behavior.
+  // (semi-)oblivious plain rounds stage whole rounds and are covered for
+  // the segmented-flush and contiguous-null-range behavior.
   for (ChaseVariant variant :
        {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
         ChaseVariant::kRestricted}) {
@@ -708,8 +710,8 @@ OracleResult CheckOrderEquivalence(const FuzzCase& fuzz_case,
           SplitMix64(fuzz_case.seed ^ SplitMix64(fuzz_case.trial));
       const std::string diff = BatchTwinDiff(fuzz_case, chase_options);
       if (!diff.empty()) {
-        return Violation(std::string("batch apply is not bit-identical to "
-                                     "per-trigger apply (") +
+        return Violation(std::string("a plain run is not bit-identical to "
+                                     "a provenance run (") +
                          ChaseVariantName(variant) + ", order " + run.name +
                          "): " + diff);
       }
@@ -755,16 +757,16 @@ OracleResult CheckMemoryCapTwin(const FuzzCase& fuzz_case,
                                 const OracleOptions& options) {
   struct Engine {
     const char* name;
-    bool batch_apply;
+    bool track_provenance;
     uint32_t threads;
   };
-  // kAllocation ordinals are defined to be identical across the batch and
-  // per-trigger executors and across thread counts, so the same target
-  // ordinal must stop all three engines at the same committed prefix.
+  // kAllocation ordinals are defined to be identical across plain and
+  // provenance runs and across thread counts, so the same target ordinal
+  // must stop all three engines at the same committed prefix.
   const Engine engines[3] = {
-      {"serial-batch", true, 1},
-      {"serial-per-trigger", false, 1},
-      {"parallel-batch", true, 2},
+      {"serial-staged", false, 1},
+      {"serial-provenance", true, 1},
+      {"parallel-staged", false, 2},
   };
 
   bool inconclusive = false;
@@ -800,7 +802,7 @@ OracleResult CheckMemoryCapTwin(const FuzzCase& fuzz_case,
       for (uint64_t target : targets) {
         auto fired = std::make_shared<std::atomic<bool>>(false);
         ChaseOptions capped = base_options;
-        capped.batch_apply = engine.batch_apply;
+        capped.track_provenance = engine.track_provenance;
         capped.discovery_threads = engine.threads;
         if (engine.threads > 1) capped.parallel_cutover_work = 0;
         capped.fault_injector = [fired, target](FaultSite site,

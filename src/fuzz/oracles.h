@@ -36,8 +36,9 @@ enum class OracleId : uint32_t {
   /// Engine metamorphic: parallel trigger discovery is bit-identical to
   /// serial at every thread count (same outcome, same trigger sequence,
   /// same instance, atom by atom). Also pins the serial baseline itself:
-  /// batch (set-at-a-time) apply must be bit-identical to per-trigger
-  /// apply, uncapped and under step/atom/null cap regimes tightened
+  /// a plain run (staged head atoms) must be bit-identical to a
+  /// provenance run (each head atom inserted at once), uncapped and under
+  /// step/atom/null cap regimes tightened
   /// around the base run's own footprint; and compiled-plan discovery
   /// must be bit-identical to the backtracking search — join_work
   /// included — uncapped, under join-work/hom/step cap regimes (where
@@ -51,7 +52,7 @@ enum class OracleId : uint32_t {
   /// Engine metamorphic: restricted-chase results under different fair
   /// trigger orders are homomorphically equivalent whenever both orders
   /// terminate (each result is a universal model of (Σ, D)). Also pins
-  /// batch-vs-per-trigger and plan-on-vs-plan-off bit-identity across the
+  /// plain-vs-provenance and plan-on-vs-plan-off bit-identity across the
   /// full variant × order grid (counters, per-rule/per-round stats,
   /// instance ids).
   kOrderEquivalence = 5,

@@ -120,9 +120,11 @@ struct DeciderResult {
 /// of the critical instance terminates. The decider runs that chase with
 /// a PumpDetector attached: a verified pump proves non-termination; a
 /// completed chase proves termination; exhausted caps yield kUnknown.
-/// For linear and guarded rules the type space the detector searches is
-/// finite, so on the workloads of this repository the caps are never the
-/// binding constraint (see EXPERIMENTS.md for the measured behaviour).
+/// The caps do bind on a few guarded sets: under decide_suite's
+/// random-set caps, 16 of the 12,000 calls over its random sets at seeds
+/// 1-30, 601-610 and 701-710 return kUnknown, all guarded (pinned by
+/// DeciderSuiteTest.UndecidedCallsArePinned; see EXPERIMENTS.md,
+/// deviation 2).
 ///
 /// `variant` must be kOblivious or kSemiOblivious: the reduction (and the
 /// paper's decidability results) do not apply to the restricted chase.

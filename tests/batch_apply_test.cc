@@ -1,8 +1,10 @@
-// Tests for the set-at-a-time batch executor (chase/batch_apply.{h,cc}):
-// bit-identity against the per-trigger path across the variant x order x
-// cap-regime grid, the restricted-chase flush-before-head-check ordering,
-// HeadBlock segment mechanics, and the governed head-satisfaction check
-// (deterministic fault injection + a wall-clock adversarial head join).
+// Tests for the chase's apply loop (chase/batch_apply.{h,cc}): a plain
+// run, which stages head atoms and flushes them in bulk, is bit-identical
+// to a provenance run, which inserts each head atom at once, across the
+// variant x order x cap-regime grid; the restricted-chase
+// flush-before-head-check ordering; HeadBlock segment mechanics; and the
+// governed head-satisfaction check (deterministic fault injection + a
+// wall-clock adversarial head join).
 
 #include "chase/batch_apply.h"
 
@@ -18,7 +20,8 @@ namespace gchase {
 namespace {
 
 // -------------------------------------------------------------------------
-// Bit-identity: batch vs per-trigger over variants, orders, cap regimes.
+// Bit-identity: staged (plain) vs eager (provenance) application over
+// variants, orders, cap regimes.
 
 struct TwinRun {
   ChaseOutcome outcome;
@@ -33,8 +36,8 @@ struct TwinRun {
 };
 
 TwinRun RunTwin(const ParsedProgram& program, ChaseOptions options,
-                bool batch) {
-  options.batch_apply = batch;
+                bool provenance) {
+  options.track_provenance = provenance;
   ChaseRun run(program.rules, options, program.facts);
   TwinRun result;
   result.outcome = run.Execute();
@@ -49,52 +52,48 @@ TwinRun RunTwin(const ParsedProgram& program, ChaseOptions options,
   return result;
 }
 
-/// Asserts full bit-identity of a batch run against its per-trigger twin
-/// (everything the determinism contract pins; batch-only counters and
-/// wall times excluded).
+/// Asserts full bit-identity of a plain run against its provenance twin
+/// (everything the determinism contract pins; staging counters and wall
+/// times excluded).
 void ExpectTwinsIdentical(const ParsedProgram& program,
                           const ChaseOptions& options,
                           const std::string& context) {
-  TwinRun batch = RunTwin(program, options, true);
-  TwinRun per_trigger = RunTwin(program, options, false);
-  EXPECT_EQ(batch.outcome, per_trigger.outcome) << context;
-  EXPECT_EQ(batch.applied, per_trigger.applied) << context;
-  EXPECT_EQ(batch.rounds, per_trigger.rounds) << context;
-  EXPECT_EQ(batch.nulls, per_trigger.nulls) << context;
-  EXPECT_EQ(batch.hom_discoveries, per_trigger.hom_discoveries) << context;
-  EXPECT_EQ(batch.join_work, per_trigger.join_work) << context;
-  ASSERT_EQ(batch.atoms.size(), per_trigger.atoms.size()) << context;
-  for (std::size_t i = 0; i < batch.atoms.size(); ++i) {
-    ASSERT_TRUE(batch.atoms[i] == per_trigger.atoms[i])
+  TwinRun staged = RunTwin(program, options, false);
+  TwinRun eager = RunTwin(program, options, true);
+  EXPECT_EQ(staged.outcome, eager.outcome) << context;
+  EXPECT_EQ(staged.applied, eager.applied) << context;
+  EXPECT_EQ(staged.rounds, eager.rounds) << context;
+  EXPECT_EQ(staged.nulls, eager.nulls) << context;
+  EXPECT_EQ(staged.hom_discoveries, eager.hom_discoveries) << context;
+  EXPECT_EQ(staged.join_work, eager.join_work) << context;
+  ASSERT_EQ(staged.atoms.size(), eager.atoms.size()) << context;
+  for (std::size_t i = 0; i < staged.atoms.size(); ++i) {
+    ASSERT_TRUE(staged.atoms[i] == eager.atoms[i])
         << context << " atom " << i;
   }
-  ASSERT_EQ(batch.per_rule.size(), per_trigger.per_rule.size()) << context;
-  for (std::size_t r = 0; r < batch.per_rule.size(); ++r) {
-    EXPECT_EQ(batch.per_rule[r].discovered,
-              per_trigger.per_rule[r].discovered)
+  ASSERT_EQ(staged.per_rule.size(), eager.per_rule.size()) << context;
+  for (std::size_t r = 0; r < staged.per_rule.size(); ++r) {
+    EXPECT_EQ(staged.per_rule[r].discovered,
+              eager.per_rule[r].discovered)
         << context << " rule " << r;
-    EXPECT_EQ(batch.per_rule[r].applied, per_trigger.per_rule[r].applied)
+    EXPECT_EQ(staged.per_rule[r].applied, eager.per_rule[r].applied)
         << context << " rule " << r;
-    EXPECT_EQ(batch.per_rule[r].skipped_satisfied,
-              per_trigger.per_rule[r].skipped_satisfied)
+    EXPECT_EQ(staged.per_rule[r].skipped_satisfied,
+              eager.per_rule[r].skipped_satisfied)
         << context << " rule " << r;
   }
-  ASSERT_EQ(batch.per_round.size(), per_trigger.per_round.size()) << context;
-  for (std::size_t i = 0; i < batch.per_round.size(); ++i) {
-    EXPECT_EQ(batch.per_round[i].delta_atoms,
-              per_trigger.per_round[i].delta_atoms)
+  ASSERT_EQ(staged.per_round.size(), eager.per_round.size()) << context;
+  for (std::size_t i = 0; i < staged.per_round.size(); ++i) {
+    EXPECT_EQ(staged.per_round[i].delta_atoms,
+              eager.per_round[i].delta_atoms)
         << context << " round " << i;
-    EXPECT_EQ(batch.per_round[i].candidates,
-              per_trigger.per_round[i].candidates)
+    EXPECT_EQ(staged.per_round[i].candidates,
+              eager.per_round[i].candidates)
         << context << " round " << i;
-    EXPECT_EQ(batch.per_round[i].applied, per_trigger.per_round[i].applied)
+    EXPECT_EQ(staged.per_round[i].applied, eager.per_round[i].applied)
         << context << " round " << i;
-    // Per-trigger rounds never report batch activity; batch rounds batch
-    // every applied trigger.
-    EXPECT_EQ(per_trigger.per_round[i].batched_triggers, 0u)
-        << context << " round " << i;
-    EXPECT_EQ(batch.per_round[i].batched_triggers,
-              batch.per_round[i].applied)
+    // A provenance run stages nothing, so it flushes no block.
+    EXPECT_EQ(eager.per_round[i].batch_blocks, 0u)
         << context << " round " << i;
   }
 }
@@ -195,16 +194,16 @@ TEST(BatchApplyTest, BitIdenticalUnderNullCap) {
 
 // -------------------------------------------------------------------------
 // Restricted ordering: an earlier trigger in the same round satisfies a
-// later one, so the batch path must flush before every head check.
+// later one, so a staged run must flush before every head check.
 
 TEST(BatchApplyTest, RestrictedSiblingSatisfactionMatchesPerTrigger) {
   // Round 1 discovers one trigger per rule (same-rule twins would merge
   // at discovery: both rules have an empty frontier). Applying the first
   // inserts q(c) — which satisfies the second trigger's head q(c) too:
-  // the second must be *skipped*, exactly as the per-trigger path skips
-  // it. A batch path that staged both heads without flushing would check
-  // the second against a stale instance and fire it, inflating applied
-  // counts.
+  // the second must be *skipped*, exactly as a provenance run skips it.
+  // A staged run that kept both heads in the block without flushing would
+  // check the second against a stale instance and fire it, inflating
+  // applied counts.
   ParsedProgram program = MustParse(
       "p(X) -> q(c).\n"
       "r(X) -> q(c).\n"
@@ -224,8 +223,8 @@ TEST(BatchApplyTest, RestrictedSiblingSatisfactionThroughNullHeads) {
   // Same shape through existential heads, across two rules (same-rule
   // twins would be deduplicated at discovery by their shared frontier):
   // rule 0 fires first and inserts s(c, n0); rule 1's head s(c, W) is
-  // then satisfied by that fresh null, so the restricted batch — which
-  // flushes before every check — must skip it.
+  // then satisfied by that fresh null, so the staged restricted run —
+  // which flushes before every check — must skip it.
   ParsedProgram program = MustParse(
       "p(X) -> s(c,Z).\n"
       "q(X) -> s(c,W).\n"
@@ -301,14 +300,14 @@ TEST(HeadBlockTest, FlushPreservesInsertionOrderAndDedups) {
 TEST(BatchApplyTest, HeadCheckFaultStopsAtExactCheck) {
   // Restricted chase of three p-facts: three head checks in round 1.
   // Aborting at head-check ordinal 1 leaves exactly one applied trigger
-  // (check 0 fired it) on both apply paths.
-  for (bool batch : {true, false}) {
+  // (check 0 fired it), staged or not.
+  for (bool provenance : {false, true}) {
     ParsedProgram program = MustParse(
         "p(X) -> q(X).\n"
         "p(a). p(b). p(c).\n");
     ChaseOptions options;
     options.variant = ChaseVariant::kRestricted;
-    options.batch_apply = batch;
+    options.track_provenance = provenance;
     options.fault_injector = [](FaultSite site, uint64_t ordinal) {
       return site == FaultSite::kHeadCheck && ordinal == 1
                  ? InjectedFault::kDeadline
@@ -316,30 +315,30 @@ TEST(BatchApplyTest, HeadCheckFaultStopsAtExactCheck) {
     };
     ChaseRun run(program.rules, options, program.facts);
     EXPECT_EQ(run.Execute(), ChaseOutcome::kDeadlineExceeded)
-        << "batch=" << batch;
-    EXPECT_EQ(run.applied_triggers(), 1u) << "batch=" << batch;
+        << "provenance=" << provenance;
+    EXPECT_EQ(run.applied_triggers(), 1u) << "provenance=" << provenance;
     // The aborted run's partial instance is flushed and consistent: the
     // database plus the one applied trigger's head.
-    EXPECT_EQ(run.instance().size(), 4u) << "batch=" << batch;
+    EXPECT_EQ(run.instance().size(), 4u) << "provenance=" << provenance;
   }
 }
 
 TEST(BatchApplyTest, HeadCheckCancelSurfacesAsCancelled) {
-  for (bool batch : {true, false}) {
+  for (bool provenance : {false, true}) {
     ParsedProgram program = MustParse(
         "p(X) -> q(X).\n"
         "p(a). p(b).\n");
     ChaseOptions options;
     options.variant = ChaseVariant::kRestricted;
-    options.batch_apply = batch;
+    options.track_provenance = provenance;
     options.fault_injector = [](FaultSite site, uint64_t ordinal) {
       return site == FaultSite::kHeadCheck && ordinal == 0
                  ? InjectedFault::kCancel
                  : InjectedFault::kNone;
     };
     ChaseRun run(program.rules, options, program.facts);
-    EXPECT_EQ(run.Execute(), ChaseOutcome::kCancelled) << "batch=" << batch;
-    EXPECT_EQ(run.applied_triggers(), 0u) << "batch=" << batch;
+    EXPECT_EQ(run.Execute(), ChaseOutcome::kCancelled) << "provenance=" << provenance;
+    EXPECT_EQ(run.applied_triggers(), 0u) << "provenance=" << provenance;
   }
 }
 
@@ -372,35 +371,35 @@ TEST(BatchApplyTest, AdversarialHeadCheckHonorsDeadline) {
   // a regression to ungoverned behavior without making timing-sensitive
   // sanitizer runs flaky.
   ParsedProgram program = AdversarialHeadWorkload(12);
-  for (bool batch : {true, false}) {
+  for (bool provenance : {false, true}) {
     ChaseOptions options;
     options.variant = ChaseVariant::kRestricted;
-    options.batch_apply = batch;
+    options.track_provenance = provenance;
     options.deadline = Deadline::AfterMillis(1);
     WallTimer timer;
     ChaseRun run(program.rules, options, program.facts);
     ChaseOutcome outcome = run.Execute();
     const double elapsed = timer.ElapsedSeconds();
     EXPECT_EQ(outcome, ChaseOutcome::kDeadlineExceeded)
-        << "batch=" << batch;
-    EXPECT_LT(elapsed, 30.0) << "batch=" << batch;
+        << "provenance=" << provenance;
+    EXPECT_LT(elapsed, 30.0) << "provenance=" << provenance;
     // The trigger must not have fired: a tripped check is inconclusive.
-    EXPECT_EQ(run.applied_triggers(), 0u) << "batch=" << batch;
+    EXPECT_EQ(run.applied_triggers(), 0u) << "provenance=" << provenance;
   }
 }
 
 TEST(BatchApplyTest, AdversarialHeadCheckHonorsJoinWorkCap) {
   // The same search bounded by count instead of clock: deterministic.
   ParsedProgram program = AdversarialHeadWorkload(8);
-  for (bool batch : {true, false}) {
+  for (bool provenance : {false, true}) {
     ChaseOptions options;
     options.variant = ChaseVariant::kRestricted;
-    options.batch_apply = batch;
+    options.track_provenance = provenance;
     options.max_join_work = 2000;
     ChaseRun run(program.rules, options, program.facts);
     EXPECT_EQ(run.Execute(), ChaseOutcome::kResourceLimit)
-        << "batch=" << batch;
-    EXPECT_EQ(run.applied_triggers(), 0u) << "batch=" << batch;
+        << "provenance=" << provenance;
+    EXPECT_EQ(run.applied_triggers(), 0u) << "provenance=" << provenance;
   }
 }
 

@@ -125,8 +125,8 @@ TEST(ChaseLimitsTest, IsModelOfGovernedReturnsInconclusiveOnTrip) {
 TEST(ChaseLimitsTest, RestrictedHeadChecksChargeJoinWork) {
   // Restricted runs pay for satisfaction checks in join_work; the
   // (semi-)oblivious twin of the same program performs none, so its
-  // join_work must be strictly smaller. This pins the accounting the
-  // batch and per-trigger paths must both report (their equality is
+  // join_work must be strictly smaller. This pins the accounting that
+  // staged and provenance runs must both report (their equality is
   // pinned by batch_apply_test and the fuzz oracles).
   ParsedProgram program = MustParse(
       "p(X), p(Y) -> q(X,Y).\n"

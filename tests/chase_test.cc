@@ -133,6 +133,64 @@ TEST(ChaseTest, ProvenanceTracksGuardsAndDepth) {
   }
 }
 
+TEST(ChaseTest, ObserverAbortStopsBeforeTheNextTrigger) {
+  // One round of three triggers. The observer sees each trigger's new
+  // atom before the next trigger fires, so aborting on the first one
+  // leaves the other two unapplied, with or without provenance.
+  ParsedProgram program = MustParse(
+      "p(X) -> q(X).\n"
+      "p(a). p(b). p(c).\n");
+  const ChaseRun::AtomObserver abort_at_once = [](AtomId) { return false; };
+  for (bool provenance : {false, true}) {
+    ChaseOptions options = Options(ChaseVariant::kOblivious);
+    options.track_provenance = provenance;
+    ChaseRun run(program.rules, options, program.facts);
+    EXPECT_EQ(run.Execute(abort_at_once), ChaseOutcome::kAborted)
+        << "provenance=" << provenance;
+    EXPECT_EQ(run.applied_triggers(), 1u) << "provenance=" << provenance;
+    EXPECT_EQ(run.instance().size(), 4u) << "provenance=" << provenance;
+  }
+}
+
+TEST(ChaseTest, ObserverSeesTheAtomThatCrossesTheAtomCap) {
+  // The first trigger's two-atom head crosses max_atoms after its first
+  // atom. The run stops on the cap at cap + 1 atoms, but only after the
+  // trigger's record holds that atom and the observer has seen it; an
+  // observer that aborts on it is reported ahead of the cap.
+  ParsedProgram program = MustParse(
+      "p(X) -> q(X,Y), r(Y).\n"
+      "p(a). p(b).\n");
+  for (ChaseVariant variant :
+       {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
+        ChaseVariant::kRestricted}) {
+    ChaseOptions options = Options(variant);
+    options.max_atoms = 2;
+    options.track_provenance = true;
+    std::vector<AtomId> seen;
+    const ChaseRun::AtomObserver record = [&seen](AtomId id) {
+      seen.push_back(id);
+      return true;
+    };
+    ChaseRun capped(program.rules, options, program.facts);
+    EXPECT_EQ(capped.Execute(record), ChaseOutcome::kResourceLimit)
+        << ChaseVariantName(variant);
+    EXPECT_EQ(capped.instance().size(), 3u) << ChaseVariantName(variant);
+    EXPECT_EQ(capped.applied_triggers(), 1u) << ChaseVariantName(variant);
+    ASSERT_EQ(capped.triggers().size(), 1u) << ChaseVariantName(variant);
+    EXPECT_EQ(capped.triggers().back().produced, std::vector<AtomId>{2})
+        << ChaseVariantName(variant);
+    EXPECT_EQ(seen, std::vector<AtomId>{2}) << ChaseVariantName(variant);
+
+    const ChaseRun::AtomObserver abort_on_it = [](AtomId id) {
+      return id != 2;
+    };
+    ChaseRun aborted(program.rules, options, program.facts);
+    EXPECT_EQ(aborted.Execute(abort_on_it), ChaseOutcome::kAborted)
+        << ChaseVariantName(variant);
+    EXPECT_EQ(aborted.instance().size(), 3u) << ChaseVariantName(variant);
+  }
+}
+
 TEST(ChaseTest, ResultContainsDatabase) {
   ParsedProgram program = MustParse(
       "p(X) -> q(X).\n"

@@ -1,5 +1,9 @@
 #include "termination/decider.h"
 
+#include <string>
+#include <vector>
+
+#include "generator/random_rules.h"
 #include "generator/workloads.h"
 #include "gtest/gtest.h"
 #include "termination/classifier.h"
@@ -95,6 +99,85 @@ TEST(DeciderTest, StandardDatabaseAgreesOnCuratedWorkloads) {
                                    : TerminationVerdict::kNonTerminating)
         << workload.name;
   }
+}
+
+// The random sets of perfbench's decide_suite, regenerated exactly as
+// perfbench/src/decide_suite.cc draws them, decided under the suite's
+// caps. A few guarded sets exhaust the caps without a verdict; this pins
+// which calls those are and where each one stops, so a change to the
+// decider's chase cannot move a call into or out of kUnknown unnoticed.
+TEST(DeciderSuiteTest, UndecidedCallsArePinned) {
+  // Fifteen of these stop on the join-work cap; seed 29 G#10 under o
+  // stops on the atom cap, in the middle of a trigger's head.
+  const std::string expected =
+      "seed 1 G#31 oblivious: 325 atoms, 243 triggers\n"
+      "seed 4 G#23 oblivious: 893 atoms, 510 triggers\n"
+      "seed 6 G#14 oblivious: 416 atoms, 413 triggers\n"
+      "seed 6 G#14 semi-oblivious: 416 atoms, 413 triggers\n"
+      "seed 27 G#14 oblivious: 641 atoms, 479 triggers\n"
+      "seed 29 G#10 oblivious: 2001 atoms, 1145 triggers\n"
+      "seed 29 G#10 semi-oblivious: 972 atoms, 485 triggers\n"
+      "seed 601 G#20 oblivious: 706 atoms, 390 triggers\n"
+      "seed 608 G#31 oblivious: 749 atoms, 496 triggers\n"
+      "seed 609 G#35 oblivious: 371 atoms, 364 triggers\n"
+      "seed 701 G#13 oblivious: 713 atoms, 591 triggers\n"
+      "seed 704 G#24 oblivious: 800 atoms, 532 triggers\n"
+      "seed 704 G#24 semi-oblivious: 563 atoms, 282 triggers\n"
+      "seed 709 G#15 oblivious: 511 atoms, 508 triggers\n"
+      "seed 709 G#15 semi-oblivious: 511 atoms, 508 triggers\n"
+      "seed 710 G#20 oblivious: 911 atoms, 677 triggers\n";
+
+  DeciderOptions options;
+  options.max_atoms = 2000;
+  options.max_steps = 20000;
+  options.max_hom_discoveries = 10000;
+  options.max_join_work = 100000;
+  const struct {
+    RuleClass rule_class;
+    const char* tag;
+    uint32_t max_arity;
+  } kClasses[3] = {{RuleClass::kSimpleLinear, "SL", 2},
+                   {RuleClass::kLinear, "L", 2},
+                   {RuleClass::kGuarded, "G", 3}};
+  std::vector<uint64_t> seeds;
+  for (uint64_t seed = 1; seed <= 30; ++seed) seeds.push_back(seed);
+  for (uint64_t seed = 601; seed <= 610; ++seed) seeds.push_back(seed);
+  for (uint64_t seed = 701; seed <= 710; ++seed) seeds.push_back(seed);
+
+  std::string undecided;
+  for (uint64_t seed : seeds) {
+    for (uint32_t c = 0; c < 3; ++c) {
+      for (uint32_t i = 0; i < 40; ++i) {
+        Rng rng = TrialRng(seed * 3 + c, i);
+        RandomRuleSetOptions generator;
+        generator.rule_class = kClasses[c].rule_class;
+        generator.num_predicates = 8;
+        generator.num_rules = 8;
+        generator.min_arity = 1;
+        generator.max_arity = kClasses[c].max_arity;
+        generator.existential_probability = 0.2 + 0.5 * rng.NextDouble();
+        if (kClasses[c].rule_class != RuleClass::kGuarded) {
+          generator.repeat_variable_probability = 0.4;
+        }
+        RandomProgram program = GenerateRandomRuleSet(&rng, generator);
+        for (ChaseVariant variant :
+             {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious}) {
+          Vocabulary vocabulary = program.vocabulary;
+          StatusOr<DeciderResult> result = DecideTermination(
+              program.rules, &vocabulary, variant, options);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          if (result->verdict != TerminationVerdict::kUnknown) continue;
+          undecided += "seed " + std::to_string(seed) + " ";
+          undecided += kClasses[c].tag + ("#" + std::to_string(i)) + " ";
+          undecided += std::string(ChaseVariantName(variant)) + ": ";
+          undecided += std::to_string(result->chase_atoms) + " atoms, ";
+          undecided += std::to_string(result->applied_triggers);
+          undecided += " triggers\n";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(undecided, expected);
 }
 
 TEST(ClassifierTest, Theorem1SyntacticMatchesDecider) {

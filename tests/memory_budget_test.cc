@@ -241,9 +241,9 @@ TEST(ChaseMemoryTest, CappedRunIsBitExactPrefixOfUncappedRun) {
 }
 
 TEST(ChaseMemoryTest, InjectedAllocationFaultIsEngineInvariant) {
-  // The kAllocation ordinal space is shared by the batch, per-trigger
-  // and parallel executors: a memory-budget fault injected at the same
-  // ordinal must stop all three at the same prefix.
+  // The kAllocation ordinal space is shared by staged (plain), eager
+  // (provenance) and parallel-discovery runs: a memory-budget fault
+  // injected at the same ordinal must stop all three at the same prefix.
   ParsedProgram program = MustParse(kDivergingProgram);
   for (uint64_t target : {uint64_t{0}, uint64_t{2}, uint64_t{6}}) {
     struct Stop {
@@ -254,18 +254,18 @@ TEST(ChaseMemoryTest, InjectedAllocationFaultIsEngineInvariant) {
     std::vector<Stop> stops;
     struct Engine {
       const char* name;
-      bool batch_apply;
+      bool track_provenance;
       uint32_t threads;
     };
     for (const Engine& engine :
-         {Engine{"serial-batch", true, 1},
-          Engine{"serial-per-trigger", false, 1},
-          Engine{"parallel-batch", true, 2}}) {
+         {Engine{"serial-staged", false, 1},
+          Engine{"serial-provenance", true, 1},
+          Engine{"parallel-staged", false, 2}}) {
       auto fired = std::make_shared<std::atomic<bool>>(false);
       ChaseOptions options;
       options.variant = ChaseVariant::kOblivious;
       options.max_atoms = 1u << 12;
-      options.batch_apply = engine.batch_apply;
+      options.track_provenance = engine.track_provenance;
       options.discovery_threads = engine.threads;
       if (engine.threads > 1) options.parallel_cutover_work = 0;
       options.fault_injector = [fired, target](FaultSite site,
