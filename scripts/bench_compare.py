@@ -4,9 +4,8 @@
 Usage:
     scripts/bench_compare.py BASELINE.json CANDIDATE.json [--threshold 0.10]
 
-Rows are matched on the (workload, variant, threads) key across whichever
-row arrays the two files share ("runs" for E9/E12-style files, "storage"
-for E13-style files; storage rows match on (workload, op)).
+Rows are matched across whichever row arrays the two files share (the
+"storage" rows of E13-style files, matched on their (workload, op) key).
 For every timing field present in both matched rows (any numeric field
 ending in "_ms"), the candidate must not be more than THRESHOLD slower
 than the baseline. Exit status is nonzero if any matched row regresses,
@@ -22,7 +21,6 @@ import sys
 # Logical row pools: each pool lists the array keys that hold rows of that
 # shape and the fields that identify a row.
 ROW_POOLS = (
-    ("chase", ("runs",), ("workload", "variant", "threads")),
     ("storage", ("storage",), ("workload", "op")),
 )
 

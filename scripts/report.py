@@ -85,7 +85,6 @@ def stats_section(stats, max_rounds):
         ("Load: seed", f"{stats.get('load_seed_ms', 0.0):.3f} ms"),
         ("Discovery threads", fmt_count(stats.get("discovery_threads", 0))),
         ("Parallel rounds", fmt_count(stats.get("parallel_rounds", 0))),
-        ("Plannable rules", fmt_count(stats.get("plannable_rules", 0))),
         ("Peak memory", fmt_bytes(memory.get("peak_bytes", 0))),
     ]
     budget = memory.get("budget_bytes", 0)

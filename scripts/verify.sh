@@ -4,8 +4,8 @@
 # only concurrency in the codebase; see docs/architecture.md §chase), then
 # the governor/abort-path tests under ASan+UBSan (abort paths unwind
 # partially-built state, exactly where lifetime bugs hide), then the perf
-# smoke (every perfbench workload at its tiny size, plus the E12 and E13
-# benches against their committed baselines), then a short differential
+# smoke (every perfbench workload at its tiny size, plus the E13 bench
+# against its committed baseline), then a short differential
 # fuzzing campaign (see docs/fuzzing.md), then the 1M-atom EDB bulk-load
 # smoke (the same gate CI's bulk-load-smoke job runs), then the run-report
 # smoke: one instrumented chase run whose stats + metrics + trace-summary
@@ -20,8 +20,8 @@
 #   10  tier-1    build or full ctest suite failed
 #   11  tsan      race check of the parallel discovery phase failed
 #   12  asan      abort-path leak/UB check failed
-#   13  perf      a perfbench workload failed or was incorrect, or the E12 /
-#                 E13 smoke regressed vs its committed baseline
+#   13  perf      a perfbench workload failed or was incorrect, or the E13
+#                 smoke regressed vs its committed baseline
 #   14  fuzz      differential-oracle campaign found a violation
 #   15  bulkload  1M-atom EDB bulk-load smoke failed
 #   16  report    instrumented run or report generation failed
@@ -148,38 +148,19 @@ tier_asan() {
              trigger_dedup_test model_test parser_test io_test \
              instance_test homomorphism_test &&
   (cd build-asan && ctest -j"$(nproc)" \
-    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|BatchApply|JoinPlan|BindingSegment|PlanExecutor|HeadBlock|MemoryBudget|InstanceBudget|ChaseMemory|DeciderMemory|BulkLoad|EdbSeed|EdbSnapshot|TriggerKeyTable|MergedDiscovery|SymbolTable|Parser|Printer|InstanceIo|InstanceTest|Homomorphism')
+    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|BatchApply|JoinPlan|DiscoveryPin|BindingSegment|PlanExecutor|HeadBlock|MemoryBudget|InstanceBudget|ChaseMemory|DeciderMemory|BulkLoad|EdbSeed|EdbSnapshot|TriggerKeyTable|MergedDiscovery|SymbolTable|Parser|Printer|InstanceIo|InstanceTest|Homomorphism')
 }
 
 tier_perf() {
-  # Tier 4 (perf smoke): run every perfbench workload at its tiny size
-  # (its own build in .bench_build/, as the benchmark runs it). A workload
-  # fails the tier on a non-zero exit or a result whose "correct" is not
-  # true — each run checks its outputs against the benchmark's references.
-  # Then E12 and E13 on their smallest workloads, diffed against their
-  # committed baselines (smoke rows are a subset, so extra baseline rows
-  # are ignored). E12's binary also asserts plan-vs-backtracking
-  # bit-identity on every row, E13's the bit-identity of its seed paths.
-  local workload
-  for workload in chain_restricted_csv star_existential_snapshot \
-                  decide_suite; do
-    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0.3 \
-      --trace 0 --size tiny > "build/perf-$workload.out" &&
-    python3 - "build/perf-$workload.out" <<'PYEOF' || return 1
-import json, sys
-lines = open(sys.argv[1]).read().strip().splitlines()
-result = json.loads(lines[-1])
-assert result["correct"] is True, f"{sys.argv[1]}: {lines[-1]}"
-print(f"perf smoke: {sys.argv[1]} correct, {result['attempted']} ops")
-PYEOF
-  done
-  cmake --build --preset default -j"$(nproc)" \
-    --target bench_e12_join_plans bench_e13_bulk_load &&
-  (cd build/bench && ./bench_e12_join_plans --smoke --benchmark_filter=none) &&
+  # Tier 4 (perf smoke): every perfbench workload at its tiny size
+  # (scripts/perf_smoke.sh, which the nightly perf-smoke job runs too;
+  # outputs in build/perf-*.out). Then E13 on its smallest workloads,
+  # diffed against its committed baseline (smoke rows are a subset, so
+  # extra baseline rows are ignored). E13's binary also asserts the
+  # bit-identity of its seed paths.
+  scripts/perf_smoke.sh build &&
+  cmake --build --preset default -j"$(nproc)" --target bench_e13_bulk_load &&
   (cd build/bench && ./bench_e13_bulk_load --smoke --benchmark_filter=none) &&
-  { [[ ! -f BENCH_e12.json ]] ||
-    python3 scripts/bench_compare.py BENCH_e12.json build/bench/BENCH_e12.json \
-      --threshold 0.50; } &&
   { [[ ! -f BENCH_e13.json ]] ||
     python3 scripts/bench_compare.py BENCH_e13.json build/bench/BENCH_e13.json \
       --threshold 0.50; }

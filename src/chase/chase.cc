@@ -8,6 +8,7 @@
 
 #include "base/rng.h"
 #include "base/timer.h"
+#include "chase/plan_executor.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
@@ -100,12 +101,6 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options)
         oblivious ? rule.universal_variables() : rule.frontier();
     applied_keys_.emplace_back(key_variables);
   }
-  // Compile the join plans once per run. Compilation is unconditional —
-  // it is O(body size) per rule and lets stats report plannability even
-  // when execution is toggled off — but the discovery dispatch only uses
-  // the plans when options_.join_plans is set.
-  plans_ = JoinPlanSet::Compile(rules_);
-  stats_.plannable_rules = plans_.plannable_rules();
   stats_.discovery_threads = std::max<uint32_t>(1, options_.discovery_threads);
   if (options_.executor != nullptr) {
     stats_.discovery_threads =
@@ -308,233 +303,85 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
     num_threads = std::min(num_threads, options_.executor->worker_count());
   }
   last_estimated_work_ = EstimateDiscoveryWork(watermark);
-  last_plan_units_ = 0;
-  last_fallback_units_ = 0;
   last_binding_rows_ = 0;
   pending_rows_.clear();
-  // The compiled plans take over whenever they can help: the unit engine
-  // runs plannable rules set-at-a-time and everything else through the
-  // same backtracking search, so with zero plannable rules it would only
-  // add per-unit buffer shuffling to a serial round.
-  const bool use_plans = options_.join_plans && plans_.plannable_rules() > 0;
-  // Adaptive cutover: tiny rounds run serial even with a pool configured —
-  // waking parked workers costs more than a handful of index probes. Both
-  // engines produce identical results, so this is purely a scheduling
-  // decision.
+  // Adaptive cutover: tiny rounds run their units on this thread even
+  // with a pool configured — waking parked workers costs more than a
+  // handful of index probes. The merge below makes the result the same
+  // either way, so this is purely a scheduling decision.
   const uint64_t cutover = options_.parallel_cutover_work;
   const bool big_round = cutover == 0 || last_estimated_work_ >= cutover;
   last_parallel_ = num_threads > 1 && big_round;
-  if (!use_plans && !last_parallel_) {
-    return DiscoverSerial(watermark, capped, stopped, stop_outcome);
-  }
-  return DiscoverPlanned(watermark, capped, stopped, stop_outcome,
-                         last_parallel_ ? num_threads : 1, use_plans);
-}
 
-std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverSerial(
-    AtomId watermark, bool* capped, bool* stopped,
-    ChaseOutcome* stop_outcome) {
-  std::vector<PendingTrigger> pending;
-  uint64_t unit = 0;
-  for (uint32_t r = 0; r < rules_.size() && !*capped && !*stopped; ++r) {
-    const Tgd& rule = rules_.rule(r);
-    const std::size_t body_size = rule.body().size();
-    HomomorphismFinder finder(instance_);
-    for (std::size_t pivot = 0; pivot < body_size && !*capped && !*stopped;
-         ++pivot) {
-      if (GovernorStop(FaultSite::kDiscovery, unit++, stop_outcome)) {
-        *stopped = true;
-        break;
-      }
-      static MetricHistogram* const unit_hist =
-          MetricsRegistry::Global().Histogram(
-              "chase.discovery_unit_fallback_ns");
-      LatencyTimer unit_timer(unit_hist);
-      HomSearchOptions search;
-      search.watermark = watermark;
-      search.ranges.assign(body_size, MatchRange::kAll);
-      for (std::size_t i = 0; i < pivot; ++i) {
-        search.ranges[i] = MatchRange::kOldOnly;
-      }
-      search.ranges[pivot] = MatchRange::kDeltaOnly;
-      search.max_candidate_visits =
-          options_.max_join_work > join_work_
-              ? options_.max_join_work - join_work_
-              : 0;
-      search.visits = &join_work_;
-      search.budget_exhausted = capped;
-      bool governor_tripped = false;
-      search.governor = &governor_;
-      search.governor_tripped = &governor_tripped;
-      finder.FindAllWithOptions(
-          rule.body(), rule.num_variables(), search, Binding(),
-          [&](const Binding& binding) {
-            AdmitTrigger(r, binding.data(), &pending);
-            if (applied_triggers_ + pending.size() >= options_.max_steps ||
-                hom_discoveries_ >= options_.max_hom_discoveries) {
-              *capped = true;
-              return false;
-            }
-            return true;
-          });
-      if (governor_tripped) {
-        *stopped = true;
-        *stop_outcome = OutcomeOf(governor_.Check());
-      }
-    }
-  }
-  return pending;
-}
-
-std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
-    AtomId watermark, bool* capped, bool* stopped, ChaseOutcome* stop_outcome,
-    uint32_t num_threads, bool use_plans) {
-  // One work unit per (rule, pivot) pair: the pivot conjunct is
-  // constrained to the delta, so the units partition the round's
-  // homomorphisms exactly as DiscoverSerial enumerates them. Plan units
-  // execute their compiled plan set-at-a-time; the others run the
-  // backtracking search. Either way a unit's rows arrive in the exact
-  // order the serial engine discovers them, so the unit-order merge
-  // reproduces the serial trigger sequence. Workers share the instance
-  // read-only and write only their own unit, so the phase is
-  // data-race-free by construction.
-  struct PlanUnit {
+  // One unit per (rule, pivot) pair: the pivot conjunct is constrained
+  // to the delta, so the units partition the round's homomorphisms.
+  // Workers share the instance read-only and write only their own unit,
+  // so the phase is data-race-free by construction.
+  struct Unit {
     uint32_t rule = 0;
     uint32_t pivot = 0;
-    bool planned = false;  ///< Runs the compiled plan (vs. backtracking).
     BindingSegment rows;
-    uint64_t visits = 0;
-    bool budget_exhausted = false;
-    bool governor_tripped = false;
+    PlanExecutor::UnitStatus status;
   };
   std::size_t unit_count = 0;
   for (uint32_t r = 0; r < rules_.size(); ++r) {
     unit_count += rules_.rule(r).body().size();
   }
   // Sized up front (BindingSegment pins units in place — no regrowth).
-  std::vector<PlanUnit> units(unit_count);
+  std::vector<Unit> units(unit_count);
   {
     std::size_t u = 0;
     for (uint32_t r = 0; r < rules_.size(); ++r) {
-      const Tgd& rule = rules_.rule(r);
-      for (std::size_t pivot = 0; pivot < rule.body().size(); ++pivot, ++u) {
-        PlanUnit& unit = units[u];
-        unit.rule = r;
-        unit.pivot = static_cast<uint32_t>(pivot);
-        unit.planned = use_plans && plans_.plan(r).plannable;
-        // Plan rows are charged to the budget. Backtracking rows, like the
-        // pending rows and key tables, are not, so the engines' charges
-        // differ only by the plan segments.
-        if (unit.planned) {
-          unit.rows.SetMemoryBudget(memory_budget_.get());
-        } else {
-          unit.rows.SetWidth(rule.num_variables());
-        }
+      for (std::size_t pivot = 0; pivot < rules_.rule(r).body().size();
+           ++pivot, ++u) {
+        units[u].rule = r;
+        units[u].pivot = static_cast<uint32_t>(pivot);
+        units[u].rows.SetMemoryBudget(memory_budget_.get());
       }
     }
   }
 
-  // This round's depth-zero conjunct choice per plannable rule — the one
-  // instance-dependent decision of a (<= 2)-conjunct backtracking search.
-  // The instance is frozen for the whole phase, so resolving it once here
-  // pins every unit's enumeration order to the serial engine's.
-  if (use_plans) {
-    round_first_.assign(rules_.size(), kNoRule);
-    for (uint32_t r = 0; r < rules_.size(); ++r) {
-      const RuleJoinPlan& plan = plans_.plan(r);
-      if (!plan.plannable) continue;
-      const uint32_t first = ChooseFirstConjunct(instance_, plan);
-      round_first_[r] = first;
-      std::vector<uint32_t>& order = stats_.per_rule[r].plan_order;
-      order.clear();
-      for (const PlanStep& step : plan.orders[first]) {
-        order.push_back(step.conjunct);
-      }
-    }
-  }
-
-  // Budgets are snapshotted at round start and granted to every unit in
-  // full: a worker cannot know how much budget its siblings are spending.
-  // When no cap ends up binding — checked after the join below — every
-  // unit ran to completion just like the serial loop and the merge is
-  // exact. The plan executor charges the same per-node visit counts the
-  // backtracking search accrues, so the checks compare like with like.
-  const uint64_t join_budget = options_.max_join_work > join_work_
-                                   ? options_.max_join_work - join_work_
-                                   : 0;
-  const uint64_t hom_budget =
-      options_.max_hom_discoveries > hom_discoveries_
-          ? options_.max_hom_discoveries - hom_discoveries_
-          : 0;
-  const uint64_t step_budget = options_.max_steps > applied_triggers_
-                                   ? options_.max_steps - applied_triggers_
-                                   : 0;
-  const uint64_t local_found_cap = std::min(hom_budget, step_budget);
+  // Every unit gets the round-start budgets in full, at any thread
+  // count: a worker cannot know what its siblings spend. The merge then
+  // enforces the caps in unit order, where a one-unit-at-a-time pass
+  // would have met them.
+  const auto left = [](uint64_t cap, uint64_t used) {
+    return cap > used ? cap - used : 0;
+  };
+  const uint64_t join_budget = left(options_.max_join_work, join_work_);
+  const uint64_t row_budget =
+      std::min(left(options_.max_hom_discoveries, hom_discoveries_),
+               left(options_.max_steps, applied_triggers_));
+  const PlanExecutor executor(instance_);
+  const auto execute = [&](Unit& unit, uint64_t max_charge, uint64_t row_cap) {
+    unit.status = executor.ExecuteUnit(rules_.rule(unit.rule), unit.pivot,
+                                       watermark, max_charge, row_cap,
+                                       &governor_, &unit.rows);
+  };
 
   // A governor/injector trip anywhere makes the whole phase stop early:
   // workers publish the abort outcome here (first writer wins is fine —
   // outcomes from concurrent trips are interchangeable) and every worker
   // checks it before starting the next unit.
   std::atomic<int> abort_outcome{-1};
-  const PlanExecutor executor(instance_);
   const auto run_unit = [&](uint64_t u) {
     if (abort_outcome.load(std::memory_order_relaxed) >= 0) return;
-    PlanUnit& unit = units[u];
     ChaseOutcome unit_outcome;
     if (GovernorStop(FaultSite::kDiscovery, u, &unit_outcome)) {
       abort_outcome.store(static_cast<int>(unit_outcome),
                           std::memory_order_relaxed);
       return;
     }
-    static MetricHistogram* const plan_unit_hist =
+    static MetricHistogram* const unit_hist =
         MetricsRegistry::Global().Histogram("chase.discovery_unit_plan_ns");
-    static MetricHistogram* const fallback_unit_hist =
-        MetricsRegistry::Global().Histogram("chase.discovery_unit_fallback_ns");
-    LatencyTimer unit_timer(unit.planned ? plan_unit_hist
-                                         : fallback_unit_hist);
-    if (unit.planned) {
-      BindingSegment scratch;
-      scratch.SetMemoryBudget(memory_budget_.get());
-      const PlanExecutor::UnitStatus status = executor.ExecuteUnit(
-          plans_.plan(unit.rule), unit.pivot, round_first_[unit.rule],
-          watermark, join_budget, local_found_cap, &governor_, &scratch,
-          &unit.rows);
-      unit.visits = status.charge;
-      unit.budget_exhausted = status.budget_exhausted;
-      unit.governor_tripped = status.governor_tripped;
-    } else {
-      const Tgd& rule = rules_.rule(unit.rule);
-      const std::size_t body_size = rule.body().size();
-      HomomorphismFinder finder(instance_);
-      HomSearchOptions search;
-      search.watermark = watermark;
-      search.ranges.assign(body_size, MatchRange::kAll);
-      for (std::size_t i = 0; i < unit.pivot; ++i) {
-        search.ranges[i] = MatchRange::kOldOnly;
-      }
-      search.ranges[unit.pivot] = MatchRange::kDeltaOnly;
-      search.max_candidate_visits = join_budget;
-      search.visits = &unit.visits;
-      search.budget_exhausted = &unit.budget_exhausted;
-      search.governor = &governor_;
-      search.governor_tripped = &unit.governor_tripped;
-      finder.FindAllWithOptions(
-          rule.body(), rule.num_variables(), search, Binding(),
-          [&unit, local_found_cap](const Binding& binding) {
-            unit.rows.AppendRow(binding.data());
-            if (unit.rows.rows() >= local_found_cap) {
-              unit.budget_exhausted = true;
-              return false;
-            }
-            return true;
-          });
-    }
-    if (unit.governor_tripped) {
+    LatencyTimer unit_timer(unit_hist);
+    execute(units[u], join_budget, row_budget);
+    if (units[u].status.governor_tripped) {
       abort_outcome.store(static_cast<int>(OutcomeOf(governor_.Check())),
                           std::memory_order_relaxed);
     }
   };
-  if (num_threads > 1) {
+  if (last_parallel_) {
     Pool(num_threads)->ParallelFor(units.size(), run_unit);
   } else {
     for (uint64_t u = 0; u < units.size(); ++u) {
@@ -542,64 +389,87 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverPlanned(
       run_unit(u);
     }
   }
+  for (const Unit& unit : units) last_binding_rows_ += unit.rows.rows();
 
-  uint64_t total_visits = 0;
-  uint64_t total_found = 0;
-  bool any_exhausted = false;
-  for (const PlanUnit& unit : units) {
-    total_visits += unit.visits;
-    total_found += unit.rows.rows();
-    any_exhausted |= unit.budget_exhausted;
-  }
   if (abort_outcome.load(std::memory_order_relaxed) >= 0) {
     // Work accounting is merged even when the phase aborted, so partial
     // stats stay truthful.
-    join_work_ += total_visits;
-    if (any_exhausted) *capped = true;
+    for (const Unit& unit : units) {
+      join_work_ += unit.status.charge;
+      if (unit.status.budget_exhausted) *capped = true;
+    }
     *stopped = true;
     *stop_outcome = static_cast<ChaseOutcome>(
         abort_outcome.load(std::memory_order_relaxed));
     return {};
   }
 
-  // Cap-adjacent rounds fall back to DiscoverSerial wholesale. A binding
-  // cap stops the serial loop mid-search at a point that depends on
-  // cumulative spending across units — unreconstructible from per-unit
-  // results that each ran against the full snapshot. Re-running serially
-  // (discarding this phase's work and accounting) keeps capped runs
-  // bit-identical to plans-off discovery_threads == 1, and costs at most
-  // one extra discovery pass per chase: a capped round is terminal.
-  if (any_exhausted || total_visits >= join_budget ||
-      total_found >= local_found_cap) {
-    last_parallel_ = false;
-    last_plan_units_ = 0;
-    last_binding_rows_ = 0;
-    last_fallback_units_ = units.size();
-    return DiscoverSerial(watermark, capped, stopped, stop_outcome);
-  }
-
-  // Deterministic merge in (rule, pivot, discovery) order — the exact
-  // order the serial engine discovers in — running the shared-state steps
-  // (dedup, counters) that workers could not touch concurrently. No cap
-  // checks here: the fallback above guarantees total_visits < join_budget
-  // and total_found < min(hom_budget, step_budget), so no cap can trip.
+  // Deterministic merge in (rule, pivot, discovery) order, running the
+  // shared-state steps (dedup, counters, caps) that workers could not
+  // touch concurrently. `spent` is the join work of the units merged so
+  // far. A unit runs again only where its rows or charge cannot be those
+  // of a one-unit-at-a-time pass under the caps: when it spent more than
+  // is left at its turn, when it stopped on its row cap before any cap
+  // bound (duplicates do not count toward the step cap), and up to the
+  // row on which the step or hom cap binds. The round then stops where
+  // that pass would, with its join work.
   static MetricHistogram* const merge_hist =
       MetricsRegistry::Global().Histogram("chase.discovery_merge_ns");
   LatencyTimer merge_timer(merge_hist);
-  join_work_ += total_visits;
   std::vector<PendingTrigger> pending;
-  for (const PlanUnit& unit : units) {
-    if (unit.planned) {
-      ++last_plan_units_;
-      ++stats_.per_rule[unit.rule].plan_rotations;
-      last_binding_rows_ += unit.rows.rows();
-    } else {
-      ++last_fallback_units_;
+  uint64_t spent = 0;
+  // A governor trip in a run here stops the round as in the first pass.
+  const auto rerun = [&](Unit& unit, uint64_t max_charge, uint64_t row_cap) {
+    execute(unit, max_charge, row_cap);
+    if (!unit.status.governor_tripped) return true;
+    join_work_ += spent + unit.status.charge;
+    if (unit.status.budget_exhausted) *capped = true;
+    *stopped = true;
+    *stop_outcome = OutcomeOf(governor_.Check());
+    return false;
+  };
+  for (Unit& unit : units) {
+    const uint64_t join_left = join_budget - spent;
+    // Only a run under the budget left knows which rows come before it
+    // runs out; at the round-start budget the first pass was that run.
+    if (unit.status.charge > join_left && join_left < join_budget &&
+        !rerun(unit, join_left, row_budget)) {
+      return {};
     }
-    for (uint64_t i = 0; i < unit.rows.rows(); ++i) {
-      AdmitTrigger(unit.rule, unit.rows.row(i), &pending);
+    // Rows are a prefix of every longer run of the unit, so the ones
+    // admitted before a re-run are not admitted again.
+    uint64_t next = 0;
+    for (;;) {
+      for (; next < unit.rows.rows(); ++next) {
+        AdmitTrigger(unit.rule, unit.rows.row(next), &pending);
+        if (applied_triggers_ + pending.size() < options_.max_steps &&
+            hom_discoveries_ < options_.max_hom_discoveries) {
+          continue;
+        }
+        // A unit that stopped on this very row has charged exactly up to
+        // it already.
+        if ((!unit.status.row_capped || next + 1 != unit.rows.rows()) &&
+            !rerun(unit, join_left, next + 1)) {
+          return {};
+        }
+        join_work_ += spent + unit.status.charge;
+        *capped = true;
+        return pending;
+      }
+      if (!unit.status.row_capped) break;
+      // No cap bound within the rows: double them, but never past the
+      // row on which the hom cap binds.
+      const uint64_t more =
+          std::min(next, left(options_.max_hom_discoveries, hom_discoveries_));
+      if (!rerun(unit, join_left, next + more)) return {};
+    }
+    spent += unit.status.charge;
+    if (unit.status.budget_exhausted) {
+      *capped = true;
+      break;
     }
   }
+  join_work_ += spent;
   return pending;
 }
 
@@ -705,8 +575,6 @@ ChaseOutcome ChaseRun::ExecuteLoop(const AtomObserver& observer) {
     round.discovery_seconds = discovery_seconds;
     round.estimated_work = last_estimated_work_;
     round.parallel_discovery = last_parallel_;
-    round.plan_units = last_plan_units_;
-    round.fallback_units = last_fallback_units_;
     round.binding_rows = last_binding_rows_;
     if (last_parallel_) ++stats_.parallel_rounds;
 
@@ -841,7 +709,7 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
   uint64_t estimated_work = 0;
   uint64_t discovery_us = 0, apply_us = 0, reserve_us = 0, round_us = 0;
   uint64_t batch_blocks = 0;
-  uint64_t plan_units = 0, fallback_units = 0, binding_rows = 0;
+  uint64_t binding_rows = 0;
   constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
   for (const RoundStats& round : stats.per_round) {
     estimated_work = round.estimated_work > kMax - estimated_work
@@ -852,8 +720,6 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
     reserve_us += static_cast<uint64_t>(round.reserve_seconds * 1e6);
     round_us += static_cast<uint64_t>(round.total_seconds * 1e6);
     batch_blocks += round.batch_blocks;
-    plan_units += round.plan_units;
-    fallback_units += round.fallback_units;
     binding_rows += round.binding_rows;
   }
   // The terminal pass has no per-round entry but its discovery time is
@@ -866,11 +732,7 @@ void PublishChaseMetrics(const ChaseStats& stats, MetricsRegistry* registry) {
   sink.Counter("chase.reserve_us")->Add(reserve_us);
   sink.Counter("chase.round_us")->Add(round_us);
   sink.Counter("chase.batch_blocks")->Add(batch_blocks);
-  sink.Counter("chase.plan_units")->Add(plan_units);
-  sink.Counter("chase.plan_fallback_units")->Add(fallback_units);
   sink.Counter("chase.plan_binding_rows")->Add(binding_rows);
-  sink.Gauge("chase.plannable_rules")
-      ->SetMax(static_cast<int64_t>(stats.plannable_rules));
   sink.Gauge("chase.discovery_threads")
       ->SetMax(static_cast<int64_t>(stats.discovery_threads));
   sink.Gauge("chase.peak_atoms")

@@ -12,8 +12,6 @@
 #include "base/status.h"
 #include "base/thread_pool.h"
 #include "chase/batch_apply.h"
-#include "chase/join_plan.h"
-#include "chase/plan_executor.h"
 #include "chase/trigger_key_table.h"
 #include "model/tgd.h"
 #include "storage/homomorphism.h"
@@ -52,7 +50,9 @@ enum class TriggerOrder {
 enum class FaultSite {
   kRoundStart,    ///< Ordinal: the 0-based round about to start.
   kDiscovery,     ///< Ordinal: the (rule, pivot) discovery-unit index
-                  ///< within the round, in serial enumeration order.
+                  ///< within the round, in unit order. A unit passes it
+                  ///< at most once per round, before the merge, at any
+                  ///< thread count; a unit the merge runs again does not.
   kTriggerApply,  ///< Ordinal: triggers applied so far in the run.
   kHeadCheck,     ///< Ordinal: restricted-chase head-satisfaction checks
                   ///< performed so far in the run. Sits at the entry of
@@ -95,12 +95,12 @@ struct ChaseOptions {
   /// Seed for TriggerOrder::kRandom.
   uint64_t order_seed = 0;
   /// Worker threads for the trigger-discovery phase. 1 (the default) runs
-  /// the serial engine; n > 1 shards the round's (rule, pivot) search
-  /// units over n threads and merges the discovered candidates
-  /// deterministically, so every value produces bit-identical instances
-  /// and trigger sequences. Trigger *application* is always serial (it
-  /// mutates the instance), so restricted-chase order sensitivity is
-  /// unaffected.
+  /// the round's (rule, pivot) discovery units on the calling thread;
+  /// n > 1 shards them over n threads. One merge admits the units' rows in
+  /// unit order either way, so every value produces bit-identical
+  /// instances, trigger sequences and counters. Trigger *application* is
+  /// always serial (it mutates the instance), so restricted-chase order
+  /// sensitivity is unaffected.
   uint32_t discovery_threads = 1;
   /// Persistent executor for the discovery fan-out. When set, the run
   /// wakes this pool's parked workers each parallel round instead of
@@ -111,10 +111,10 @@ struct ChaseOptions {
   std::shared_ptr<ThreadPool> executor;
   /// Adaptive serial/parallel cutover: a round whose estimated join work
   /// (delta cardinality x candidate fan-out, summed over discovery
-  /// units) falls below this threshold runs the serial engine even when
-  /// discovery_threads > 1 — waking workers for a handful of probes
-  /// costs more than the probes. 0 disables the cutover (always
-  /// parallel). Results are bit-identical either way.
+  /// units) falls below this threshold runs its units on the calling
+  /// thread even when discovery_threads > 1 — waking workers for a
+  /// handful of probes costs more than the probes. 0 disables the cutover
+  /// (always parallel). Results are bit-identical either way.
   uint64_t parallel_cutover_work = uint64_t{1} << 15;
   /// Cap on applied triggers (chase steps).
   uint64_t max_steps = std::numeric_limits<uint64_t>::max();
@@ -127,9 +127,12 @@ struct ChaseOptions {
   /// bodies can have |instance|^k homomorphisms, far more than the
   /// triggers that survive dedup; this cap bounds that work.
   uint64_t max_hom_discoveries = std::numeric_limits<uint64_t>::max();
-  /// Cap on candidate atoms visited by the join search across the run
-  /// (bounds backtracking *work*, which can dwarf the homomorphism count
-  /// on high-fanout unguarded joins).
+  /// Cap on join work across the run: candidate atoms counted by
+  /// discovery and by restricted head checks (bounds join *work*, which
+  /// can dwarf the homomorphism count on high-fanout unguarded joins).
+  /// Discovery counts every candidate of each list it picks, in range or
+  /// not (see PlanExecutor), so where a round stops does not depend on
+  /// the thread count.
   uint64_t max_join_work = std::numeric_limits<uint64_t>::max();
   /// Record per-atom and per-trigger provenance (costs memory; required by
   /// the termination deciders' pump detection). A plain run stages a
@@ -139,19 +142,9 @@ struct ChaseOptions {
   /// and so are the instance, atom ids and counters (pinned by the fuzz
   /// oracles).
   bool track_provenance = false;
-  /// Compiled set-at-a-time join plans for trigger discovery (the
-  /// default). Each rule body is compiled once at chase start into an
-  /// ordered join plan; discovery then executes plannable rules (bodies
-  /// of at most two conjuncts) as a columnar pipeline over range-clipped
-  /// posting lists instead of per-trigger backtracking. Non-plannable
-  /// bodies and cap-adjacent rounds stay on the backtracking path, and
-  /// both engines produce bit-identical instances, trigger sequences,
-  /// counters and join-work accounting (pinned by the fuzz oracles and
-  /// join_plan_test). Turn off to route every rule through the legacy
-  /// backtracking search.
-  bool join_plans = true;
   /// Byte budget for the run's retained storage (term arena, atom
-  /// records, dedup table, position index, posting lists, batch staging).
+  /// records, dedup table, position index, posting lists, batch staging,
+  /// discovery rows).
   /// 0 means unlimited. Enforced two ways: bulk growth points project
   /// their exact byte cost and refuse to commit it when it would cross
   /// the limit, and every governor checkpoint trips once live usage is
@@ -250,16 +243,6 @@ struct RuleStats {
   uint64_t discovered = 0;         ///< Candidates surviving key dedup.
   uint64_t applied = 0;            ///< Triggers actually fired.
   uint64_t skipped_satisfied = 0;  ///< Restricted-chase satisfied skips.
-  /// Discovery units this rule executed through the compiled plan (one
-  /// per (rule, pivot) rotation per kept plan round; 0 for non-plannable
-  /// rules or with join_plans off).
-  uint64_t plan_rotations = 0;
-  /// The conjunct order the plan chose most recently (body indices in
-  /// match order; empty if the rule never executed a plan). The order is
-  /// re-chosen per round from the same selectivity estimates the
-  /// backtracking engine uses, so this also documents what the legacy
-  /// search would have matched first.
-  std::vector<uint32_t> plan_order;
 };
 
 /// Per-round counters and phase timings. A round is one discovery pass
@@ -279,24 +262,16 @@ struct RoundStats {
   /// phase timers leave out.
   double total_seconds = 0.0;
   uint64_t estimated_work = 0;     ///< Join-work estimate driving cutover.
-  bool parallel_discovery = false; ///< Round ran the parallel engine.
+  bool parallel_discovery = false; ///< Round's units ran on the pool.
   /// Bulk segments flushed into the store this round. One per maximal run
   /// of same-shape head atoms: a whole (semi-)oblivious round of a
   /// single-head rule is one block; restricted rounds flush before every
   /// satisfaction check and so count one block per applied trigger. 0 on
   /// provenance and observer runs, which stage nothing.
   uint64_t batch_blocks = 0;
-  /// Discovery units executed by the compiled-plan pipeline this round.
-  uint64_t plan_units = 0;
-  /// Discovery units that ran the backtracking search as units of the
-  /// unit engine instead: units of non-plannable rules, every unit of a
-  /// parallel round with join_plans off, or — when a discovery cap bound
-  /// mid-round — every unit of the round (cap-adjacent rounds re-run on
-  /// the serial backtracking path wholesale so capped runs stay
-  /// bit-identical). 0 on plans-off serial rounds.
-  uint64_t fallback_units = 0;
-  /// Binding rows the plan units materialized (pre-dedup homomorphisms
-  /// that flowed through columnar segments instead of callbacks).
+  /// Binding rows the round's discovery units materialized before the
+  /// merge (pre-dedup homomorphisms; a unit stopped by a cap counts the
+  /// rows it wrote).
   uint64_t binding_rows = 0;
 };
 
@@ -312,9 +287,6 @@ struct ChaseStats {
   uint64_t peak_dedup_keys = 0;              ///< Applied trigger keys.
   uint32_t discovery_threads = 1;            ///< Effective worker count.
   uint64_t parallel_rounds = 0;              ///< Rounds using the pool.
-  /// Rules whose body compiled to a usable join plan (bodies of at most
-  /// two conjuncts; see JoinPlanSet). Reported even with join_plans off.
-  uint32_t plannable_rules = 0;
   /// Wall time of terminal discovery passes that produced no per-round
   /// entry — the empty pass that proves termination, or an aborted one.
   /// Kept separate from per_round so round timings still sum to round
@@ -424,7 +396,7 @@ class ChaseRun {
 
  private:
   /// Shared construction tail: everything but the seeding (budget
-  /// attachment, stats setup, plan compilation). The public constructors
+  /// attachment, key tables, stats setup). The public constructors
   /// delegate here, then seed.
   ChaseRun(const RuleSet& rules, ChaseOptions options);
 
@@ -496,35 +468,19 @@ class ChaseRun {
   /// One round of semi-naive trigger discovery: every homomorphism whose
   /// image touches an atom with id >= `watermark`, deduplicated through
   /// applied_keys_, in deterministic (rule, pivot, discovery) order. The
-  /// survivors' binding rows land in pending_rows_ (cleared first).
-  /// Plans-off serial rounds run DiscoverSerial; everything else runs
-  /// DiscoverPlanned; both produce identical results. Sets *capped when a
-  /// discovery cap was hit (results may then be incomplete); sets
-  /// *stopped and *stop_outcome when the governor or fault injector
-  /// tripped mid-phase (the returned triggers are then partial and must
-  /// not be applied).
+  /// PlanExecutor runs each (rule, pivot) unit into its own buffer — on
+  /// the calling thread, or on the pool for big rounds — and one merge
+  /// admits the rows in unit order, enforcing the step, hom and join-work
+  /// caps (see the definition). The survivors' binding rows land in
+  /// pending_rows_ (cleared first). Sets *capped when a discovery cap
+  /// was hit (results may then be incomplete); sets *stopped and
+  /// *stop_outcome when the governor or fault injector tripped mid-phase
+  /// (the returned triggers are then partial and must not be applied).
   std::vector<PendingTrigger> DiscoverTriggers(AtomId watermark, bool* capped,
                                                bool* stopped,
                                                ChaseOutcome* stop_outcome);
-  /// Backtracking engine: one search per (rule, pivot) unit, deduping
-  /// each homomorphism as it is found and checking the caps after each.
-  std::vector<PendingTrigger> DiscoverSerial(AtomId watermark, bool* capped,
-                                             bool* stopped,
-                                             ChaseOutcome* stop_outcome);
-  /// Unit engine: with `use_plans`, plannable rules run the set-at-a-time
-  /// PlanExecutor per (rule, pivot) unit; every other unit runs the
-  /// backtracking search. Either way a unit fills its own columnar
-  /// buffer; `num_threads` == 1 runs the units inline, > 1 fans them out
-  /// over the pool. One merge then dedups the rows in unit order. Rounds
-  /// where any discovery cap binds are re-run wholesale through
-  /// DiscoverSerial so cap-adjacent behavior stays bit-identical.
-  std::vector<PendingTrigger> DiscoverPlanned(AtomId watermark, bool* capped,
-                                              bool* stopped,
-                                              ChaseOutcome* stop_outcome,
-                                              uint32_t num_threads,
-                                              bool use_plans);
 
-  /// The shared dedup step of both engines: counts one homomorphism and,
+  /// The merge's dedup step: counts one homomorphism and,
   /// when `row`'s key is new to the rule's table, counts it discovered and
   /// appends it to `pending` (its row copied into pending_rows_).
   void AdmitTrigger(uint32_t rule_index, const Term* row,
@@ -569,20 +525,10 @@ class ChaseRun {
   /// every parallel round reuses the same parked workers.
   std::shared_ptr<ThreadPool> owned_pool_;
 
-  /// Compiled once at construction from rules_; execution is gated by
-  /// options_.join_plans, compilation is not (it is cheap and lets stats
-  /// report plannability either way).
-  JoinPlanSet plans_;
-  /// Per-rule first-conjunct choice for the current round (kNoRule for
-  /// rules without a plan); recomputed by DiscoverPlanned each round.
-  std::vector<uint32_t> round_first_;
-
   /// Scratch written by DiscoverTriggers, folded into the round's stats
   /// entry by Execute (the entry does not exist yet at discovery time).
   uint64_t last_estimated_work_ = 0;
   bool last_parallel_ = false;
-  uint64_t last_plan_units_ = 0;
-  uint64_t last_fallback_units_ = 0;
   uint64_t last_binding_rows_ = 0;
 
   ChaseStats stats_;

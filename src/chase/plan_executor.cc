@@ -1,7 +1,5 @@
 #include "chase/plan_executor.h"
 
-#include <algorithm>
-
 #include "base/check.h"
 #include "storage/homomorphism.h"
 
@@ -9,177 +7,177 @@ namespace gchase {
 
 namespace {
 
-/// The semi-naive range of a conjunct in a (rule, pivot) discovery unit —
-/// identical to the ranges the serial engine assigns before each search.
+/// The semi-naive range of a conjunct in a (rule, pivot) discovery unit.
 MatchRange RangeFor(uint32_t conjunct, uint32_t pivot) {
   if (conjunct < pivot) return MatchRange::kOldOnly;
   if (conjunct == pivot) return MatchRange::kDeltaOnly;
   return MatchRange::kAll;
 }
 
+/// The depth-first walk of one unit: one binding row with a unification
+/// trail, bound and unbound exactly as the backtracking search binds its
+/// Binding vector.
+class UnitWalk {
+ public:
+  UnitWalk(const Instance& instance, const Tgd& rule, uint32_t pivot,
+           AtomId watermark, uint64_t max_charge, uint64_t row_cap,
+           const RunGovernor* governor, BindingSegment* out,
+           PlanExecutor::UnitStatus* status)
+      : instance_(instance),
+        body_(rule.body()),
+        pivot_(pivot),
+        watermark_(watermark),
+        max_charge_(max_charge),
+        row_cap_(row_cap),
+        governor_(governor),
+        out_(out),
+        status_(status),
+        row_(rule.num_variables(), UnboundTerm()),
+        matched_(body_.size(), false) {
+    // A conjunct's clipped predicate span is fixed for the whole unit;
+    // only position lists depend on the row.
+    predicate_spans_.reserve(body_.size());
+    for (uint32_t c = 0; c < body_.size(); ++c) {
+      predicate_spans_.push_back(
+          ClipPostings(instance_.AtomsWithPredicate(body_[c].predicate),
+                       RangeFor(c, pivot_), watermark_));
+    }
+  }
+
+  void Run() { Expand(0); }
+
+ private:
+  /// Counts `n` candidates. False, and the walk stops, once the charge
+  /// passes max_charge (the charge then reads max_charge + 1, where the
+  /// search stops counting) or the governor trips on a 1024 boundary.
+  bool Charge(uint64_t n) {
+    const uint64_t before = status_->charge;
+    if (n > max_charge_ - before) {
+      status_->charge = max_charge_ + 1;
+      status_->budget_exhausted = true;
+      stop_ = true;
+      return false;
+    }
+    status_->charge = before + n;
+    if (governor_ != nullptr && (before >> 10) != (status_->charge >> 10) &&
+        governor_->Check() != GovernorState::kOk) {
+      status_->governor_tripped = true;
+      stop_ = true;
+      return false;
+    }
+    return true;
+  }
+
+  /// Unifies `pattern` with atom `id`, binding free slots onto the trail.
+  bool Unify(const Atom& pattern, AtomId id) {
+    const AtomView fact = instance_.atom(id);
+    for (uint32_t pos = 0; pos < pattern.arity(); ++pos) {
+      const Term t = pattern.args[pos];
+      const Term image = fact.args[pos];
+      if (!t.IsVariable()) {
+        if (t != image) return false;
+        continue;
+      }
+      Term& slot = row_[t.index()];
+      if (IsBound(slot)) {
+        if (slot != image) return false;
+      } else {
+        slot = image;
+        trail_.push_back(t.index());
+      }
+    }
+    return true;
+  }
+
+  void Expand(uint32_t depth) {
+    if (depth == body_.size()) {
+      out_->AppendRow(row_.data());
+      if (out_->rows() >= row_cap_) {
+        status_->row_capped = true;
+        stop_ = true;
+      }
+      return;
+    }
+    // The search's choice: the unmatched conjunct with the smallest
+    // candidate list, each conjunct's list being its predicate list or a
+    // strictly smaller constant or bound-position list; ties go to the
+    // earlier conjunct and the earlier position.
+    uint32_t best = static_cast<uint32_t>(body_.size());
+    PostingList best_list;
+    bool best_is_predicate = false;
+    for (uint32_t c = 0; c < body_.size(); ++c) {
+      if (matched_[c]) continue;
+      const Atom& atom = body_[c];
+      PostingList list = instance_.AtomsWithPredicate(atom.predicate);
+      bool is_predicate = true;
+      for (uint32_t pos = 0; pos < atom.arity(); ++pos) {
+        const Term t = atom.args[pos];
+        const Term image = t.IsVariable() ? row_[t.index()] : t;
+        if (t.IsVariable() && !IsBound(image)) continue;
+        const PostingList probe =
+            instance_.AtomsWithTermAt(atom.predicate, pos, image);
+        if (probe.size() < list.size()) {
+          list = probe;
+          is_predicate = false;
+        }
+      }
+      if (best == body_.size() || list.size() < best_list.size()) {
+        best = c;
+        best_list = list;
+        best_is_predicate = is_predicate;
+      }
+    }
+    const PostingView span =
+        best_is_predicate
+            ? predicate_spans_[best]
+            : ClipPostings(best_list, RangeFor(best, pivot_), watermark_);
+    const Atom& pattern = body_[best];
+    matched_[best] = true;
+    // Old atoms ahead of a delta-only span are counted before its
+    // children, delta atoms behind an old-only span after them.
+    if (Charge(span.begin - best_list.begin())) {
+      for (const AtomId* it = span.begin; it != span.end && !stop_; ++it) {
+        if (!Charge(1)) break;
+        const std::size_t mark = trail_.size();
+        if (Unify(pattern, *it)) Expand(depth + 1);
+        for (std::size_t i = mark; i < trail_.size(); ++i) {
+          row_[trail_[i]] = UnboundTerm();
+        }
+        trail_.resize(mark);
+      }
+      if (!stop_) Charge(best_list.end() - span.end);
+    }
+    matched_[best] = false;
+  }
+
+  const Instance& instance_;
+  const std::vector<Atom>& body_;
+  const uint32_t pivot_;
+  const AtomId watermark_;
+  const uint64_t max_charge_;
+  const uint64_t row_cap_;
+  const RunGovernor* const governor_;
+  BindingSegment* const out_;
+  PlanExecutor::UnitStatus* const status_;
+  std::vector<Term> row_;
+  std::vector<uint32_t> trail_;
+  std::vector<bool> matched_;
+  std::vector<PostingView> predicate_spans_;
+  bool stop_ = false;
+};
+
 }  // namespace
 
 PlanExecutor::UnitStatus PlanExecutor::ExecuteUnit(
-    const RuleJoinPlan& plan, uint32_t pivot, uint32_t first, AtomId watermark,
-    uint64_t max_charge, uint64_t found_cap, const RunGovernor* governor,
-    BindingSegment* scratch, BindingSegment* out) const {
-  UnitStatus status;
-  GCHASE_CHECK(plan.plannable && first < plan.orders.size());
-  const std::vector<PlanStep>& steps = plan.orders[first];
-
+    const Tgd& rule, uint32_t pivot, AtomId watermark, uint64_t max_charge,
+    uint64_t row_cap, const RunGovernor* governor, BindingSegment* out) const {
+  GCHASE_CHECK(pivot < rule.body().size());
   out->Clear();
-  out->SetWidth(plan.num_slots);
-
-  // One mutable row with unification-trail undo, exactly like the
-  // backtracking search's binding vector: ops bind into it, failures and
-  // completed appends roll back to the row's pre-candidate state.
-  std::vector<Term> row(plan.num_slots, UnboundTerm());
-  std::vector<uint32_t> trail;
-  const auto undo = [&]() {
-    for (uint32_t slot : trail) row[slot] = UnboundTerm();
-    trail.clear();
-  };
-  const auto unify = [&](const PlanStep& step, AtomId id) -> bool {
-    const AtomView fact = instance_.atom(id);
-    for (const PlanOp& op : step.ops) {
-      const Term image = fact.args[op.position];
-      switch (op.kind) {
-        case PlanOp::Kind::kCheckConst:
-          if (op.constant != image) return false;
-          break;
-        case PlanOp::Kind::kBindVar:
-          row[op.slot] = image;
-          trail.push_back(op.slot);
-          break;
-        case PlanOp::Kind::kCheckVar:
-          if (row[op.slot] != image) return false;
-          break;
-      }
-    }
-    return true;
-  };
-
-  // Cooperative governor checkpoints, on roughly the backtracking
-  // engine's 1024-visit cadence. Trip points need not be bit-identical
-  // across engines — an aborted discovery phase is discarded wholesale —
-  // but the cadence keeps a pathological unit from outliving a deadline.
-  uint64_t next_poll = 1024;
-  uint64_t scan_ticks = 0;
-  const auto tripped = [&]() -> bool {
-    if (governor == nullptr) return false;
-    if (governor->Check() == GovernorState::kOk) return false;
-    status.governor_tripped = true;
-    return true;
-  };
-  const auto poll_charge = [&]() -> bool {
-    if (status.charge < next_poll) return false;
-    next_poll = status.charge + 1024;
-    return tripped();
-  };
-
-  // --- Seed step: replicate the search's depth-zero source selection.
-  // All probe sites of the first step are constants (no variable is bound
-  // yet), and the estimates depend only on the instance — the same argmin
-  // ChooseFirstConjunct ran to pick `first`. The charge is the chosen
-  // list's *unclipped* length: the backtracking engine visits every
-  // candidate and range-filters per candidate, and join-work parity is
-  // what keeps cap-adjacent behavior identical across engines.
-  const PlanStep& seed = steps[0];
-  const MatchRange seed_range = RangeFor(seed.conjunct, pivot);
-  PostingList seed_list = instance_.AtomsWithPredicate(seed.predicate);
-  for (const ProbeSite& probe : seed.probes) {
-    GCHASE_CHECK(probe.is_constant);
-    const PostingList list = instance_.AtomsWithTermAt(
-        seed.predicate, probe.position, probe.constant);
-    if (list.size() < seed_list.size()) seed_list = list;
-  }
-  const PostingView source = ClipPostings(seed_list, seed_range, watermark);
-  status.charge += source.full_size;
-  if (status.charge > max_charge) {
-    status.budget_exhausted = true;
-    return status;
-  }
-  if (poll_charge()) return status;
-
-  const bool single_step = steps.size() == 1;
-  BindingSegment* sink = single_step ? out : scratch;
-  if (!single_step) {
-    scratch->Clear();
-    scratch->SetWidth(plan.num_slots);
-  }
-  for (const AtomId* it = source.begin; it != source.end; ++it) {
-    if ((++scan_ticks & 1023u) == 0 && tripped()) return status;
-    if (unify(seed, *it)) {
-      sink->AppendRow(row.data());
-      if (single_step) {
-        ++status.rows;
-        if (status.rows >= found_cap) {
-          undo();
-          status.budget_exhausted = true;
-          return status;
-        }
-      }
-    }
-    undo();
-  }
-  if (single_step) return status;
-
-  // --- Extension step: per seed row, replicate the search's per-node
-  // source selection (predicate list vs. the most selective bound/const
-  // position, strictly-smaller wins, earliest position on ties), charge
-  // the unclipped length, and scan only the range-clipped span. Rows are
-  // expanded in seed order with candidates in id order, which is exactly
-  // the DFS leaf order of the backtracking search under this conjunct
-  // order.
-  const PlanStep& ext = steps[1];
-  const MatchRange ext_range = RangeFor(ext.conjunct, pivot);
-  // The predicate list and its clipped view are loop-invariant across
-  // rows (same predicate, range, watermark); only position probes depend
-  // on the row. Probing compares raw (unclipped) list lengths — the same
-  // estimates the backtracking planner uses — so the single binary-search
-  // clip is deferred to the one list that actually gets scanned.
-  const PostingList ext_pred_list =
-      instance_.AtomsWithPredicate(ext.predicate);
-  const PostingView ext_pred_view =
-      ClipPostings(ext_pred_list, ext_range, watermark);
-  for (uint64_t r = 0; r < scratch->rows(); ++r) {
-    const Term* base = scratch->row(r);
-    std::copy(base, base + plan.num_slots, row.begin());
-    PostingList best = ext_pred_list;
-    bool best_is_predicate = true;
-    for (const ProbeSite& probe : ext.probes) {
-      const Term image = probe.is_constant ? probe.constant : row[probe.slot];
-      const PostingList list =
-          instance_.AtomsWithTermAt(ext.predicate, probe.position, image);
-      if (list.size() < best.size()) {
-        best = list;
-        best_is_predicate = false;
-      }
-    }
-    status.charge += best.size();
-    if (status.charge > max_charge) {
-      status.budget_exhausted = true;
-      return status;
-    }
-    if (poll_charge()) return status;
-    const PostingView ext_source =
-        best_is_predicate ? ext_pred_view
-                          : ClipPostings(best, ext_range, watermark);
-    for (const AtomId* it = ext_source.begin; it != ext_source.end; ++it) {
-      if ((++scan_ticks & 1023u) == 0 && tripped()) return status;
-      if (unify(ext, *it)) {
-        out->AppendRow(row.data());
-        ++status.rows;
-        undo();
-        if (status.rows >= found_cap) {
-          status.budget_exhausted = true;
-          return status;
-        }
-      } else {
-        undo();
-      }
-    }
-  }
+  out->SetWidth(rule.num_variables());
+  UnitStatus status;
+  UnitWalk(instance_, rule, pivot, watermark, max_charge, row_cap, governor,
+           out, &status)
+      .Run();
   return status;
 }
 

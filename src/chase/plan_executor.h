@@ -6,18 +6,18 @@
 
 #include "base/governor.h"
 #include "base/memory_budget.h"
-#include "chase/join_plan.h"
+#include "model/tgd.h"
 #include "storage/instance.h"
 
 namespace gchase {
 
 /// Columnar buffer of fixed-width binding rows (one row = the images of
 /// one rule's variables, unbound slots holding the UnboundTerm sentinel).
-/// The set-at-a-time discovery pipeline materializes the pivot delta and
-/// every extension level into these instead of per-trigger Binding
-/// vectors. Growth is charged to an attached memory budget with the same
-/// ratchet the HeadBlock staging buffer uses: capacity deltas on growth,
-/// the full charge released on re-attach or destruction.
+/// Each discovery unit writes its homomorphisms into one of these instead
+/// of per-trigger Binding vectors. Growth is charged to an attached memory
+/// budget with the same ratchet the HeadBlock staging buffer uses:
+/// capacity deltas on growth, the full charge released on re-attach or
+/// destruction.
 class BindingSegment {
  public:
   BindingSegment() = default;
@@ -79,42 +79,51 @@ class BindingSegment {
   uint64_t charged_bytes_ = 0;
 };
 
-/// Set-at-a-time executor for one compiled rule plan against one
-/// discovery unit (rule, pivot). Stateless beyond the borrowed instance,
-/// so any number may run concurrently over pivot-delta chunks; each call
-/// writes only its own output segment and status.
+/// The chase's discovery engine. One call enumerates the body
+/// homomorphisms of one (rule, pivot) unit of a semi-naive round: body
+/// conjuncts before the pivot match old atoms only (ids below the
+/// watermark), the pivot matches the delta only, and later conjuncts
+/// match any atom, so a round's units partition its new homomorphisms.
+///
+/// The walk is depth-first and makes the backtracking search's choices
+/// (HomomorphismFinder): at each node it matches next the unmatched
+/// conjunct with the smallest candidate list — the predicate list or,
+/// when smaller, the posting list of a constant or bound position — with
+/// ties to the earlier conjunct and position, and it scans candidates in
+/// id order. Rows therefore arrive in the search's order for every body
+/// width, and so does the join work: the search counts every candidate
+/// of the chosen list, in range or not. The executor scans only the
+/// range-clipped span and charges the skipped candidates where the
+/// search counts them: a delta-only node's old prefix before its
+/// children, an old-only node's delta suffix after them. A unit stopped
+/// by its join budget or row cap has therefore charged exactly what the
+/// search had counted at that point.
+///
+/// Stateless beyond the borrowed instance, so any number of units may
+/// run concurrently; each call writes only its own output segment.
 class PlanExecutor {
  public:
-  /// What one unit execution did. `charge` is the unit's join-work in the
-  /// backtracking engine's units: for every node (seed scan or extension
-  /// row) the *unclipped* length of the most selective posting list, i.e.
-  /// exactly the candidates the backtracking search would have visited —
-  /// so plan-on and plan-off runs account identical join work, and the
-  /// cap-adjacency fallback can compare against max_join_work exactly.
+  /// What one unit execution did.
   struct UnitStatus {
+    /// Join work: candidates counted, max_charge + 1 once it ran out.
     uint64_t charge = 0;
-    uint64_t rows = 0;  ///< Complete bindings materialized.
-    bool budget_exhausted = false;  ///< charge or found_cap ran out.
+    bool budget_exhausted = false;  ///< The charge passed max_charge.
+    bool row_capped = false;        ///< Stopped after row number row_cap.
     bool governor_tripped = false;
   };
 
   explicit PlanExecutor(const Instance& instance) : instance_(instance) {}
 
-  /// Executes one (rule, pivot) unit: seeds from the first step's
-  /// range-clipped postings, extends row-by-row through the second step
-  /// (if any), and appends every complete binding to `*out` in the exact
-  /// order the backtracking search enumerates — id-lexicographic in the
-  /// chosen conjunct order. `first` is this round's depth-zero conjunct
-  /// choice (from ChooseFirstConjunct). Stops early once `charge` would
-  /// exceed `max_charge` or `rows` reaches `found_cap` (budget_exhausted;
-  /// results are then partial and the caller must discard them — capped
-  /// rounds re-run on the backtracking path), or when the governor trips.
-  /// `scratch` is reused across units to keep steady-state execution
-  /// allocation-free; the caller provides one per worker.
-  UnitStatus ExecuteUnit(const RuleJoinPlan& plan, uint32_t pivot,
-                         uint32_t first, AtomId watermark, uint64_t max_charge,
-                         uint64_t found_cap, const RunGovernor* governor,
-                         BindingSegment* scratch, BindingSegment* out) const;
+  /// Runs unit (`rule`, `pivot`) against the delta starting at
+  /// `watermark` and writes every homomorphism, as a row of the rule's
+  /// num_variables() slots (head-only variables unbound), to `*out`
+  /// (cleared first). Stops once the charge would pass `max_charge`, once
+  /// `row_cap` rows are written (a cap of 0 stops after the first), or
+  /// when the governor trips at a 1024-candidate boundary.
+  UnitStatus ExecuteUnit(const Tgd& rule, uint32_t pivot, AtomId watermark,
+                         uint64_t max_charge, uint64_t row_cap,
+                         const RunGovernor* governor,
+                         BindingSegment* out) const;
 
  private:
   const Instance& instance_;

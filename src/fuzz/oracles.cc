@@ -250,48 +250,50 @@ std::string BatchTwinDiff(const FuzzCase& fuzz_case,
   return TwinDiff(staged, eager);
 }
 
-/// Differential twin for the compiled-plan discovery engine: runs
-/// `chase_options` once with join plans and once with the backtracking
-/// search, and demands bit-identity. The plan executor's contract is
-/// exact join-work parity (it charges unclipped list lengths), so the
-/// comparison includes join_work even under cap-adjacent rounds — those
-/// fall back to a wholesale legacy rerun by design.
-std::string PlanTwinDiff(const FuzzCase& fuzz_case,
-                         ChaseOptions chase_options) {
-  chase_options.join_plans = true;
-  ChaseResult planned =
-      RunChase(fuzz_case.rules, chase_options, fuzz_case.database);
-  chase_options.join_plans = false;
-  ChaseResult legacy =
-      RunChase(fuzz_case.rules, chase_options, fuzz_case.database);
-  return TwinDiff(planned, legacy);
-}
-
-/// PlanTwinDiff across cap regimes tightened around the base run's own
-/// footprint: the join-work cap (where cap-adjacent plan rounds must fall
-/// back to the serial search), the hom-discovery cap and the step cap.
-std::string PlanTwinDiffAllRegimes(const FuzzCase& fuzz_case,
-                                   const ChaseOptions& chase_options,
-                                   const ChaseResult& base) {
-  std::string diff = PlanTwinDiff(fuzz_case, chase_options);
-  if (!diff.empty()) return "uncapped: " + diff;
-  if (base.join_work > 1) {
-    ChaseOptions tight = chase_options;
-    tight.max_join_work = base.join_work / 2;
-    diff = PlanTwinDiff(fuzz_case, tight);
-    if (!diff.empty()) return "join-work-capped: " + diff;
-  }
-  if (base.hom_discoveries > 1) {
-    ChaseOptions tight = chase_options;
-    tight.max_hom_discoveries = base.hom_discoveries / 2;
-    diff = PlanTwinDiff(fuzz_case, tight);
-    if (!diff.empty()) return "hom-capped: " + diff;
-  }
-  if (base.applied_triggers > 1) {
-    ChaseOptions tight = chase_options;
-    tight.max_steps = base.applied_triggers / 2;
-    diff = PlanTwinDiff(fuzz_case, tight);
-    if (!diff.empty()) return "step-capped: " + diff;
+/// Differential twin for the discovery fan-out: compares `serial`, the
+/// one-thread run of `chase_options`, with runs whose units fan out over
+/// each of `thread_counts` (cutover 0, so every round fans out), and
+/// demands bit-identity — join work included, since the merge enforces
+/// the caps in unit order at any thread count. Runs uncapped, then with
+/// the join-work, hom-discovery and step caps each at half of the serial
+/// run's footprint, where the merge stops a round inside a unit.
+std::string ThreadTwinDiffAllRegimes(
+    const FuzzCase& fuzz_case, const ChaseOptions& chase_options,
+    const ChaseResult& serial, const std::vector<uint32_t>& thread_counts) {
+  const auto diff_threads = [&](const ChaseOptions& options,
+                                const ChaseResult& one_thread) {
+    for (uint32_t threads : thread_counts) {
+      ChaseOptions parallel = options;
+      parallel.discovery_threads = threads;
+      parallel.parallel_cutover_work = 0;
+      const ChaseResult run =
+          RunChase(fuzz_case.rules, parallel, fuzz_case.database);
+      const std::string diff = TwinDiff(one_thread, run);
+      if (!diff.empty()) return std::to_string(threads) + " threads, " + diff;
+    }
+    return std::string();
+  };
+  std::string diff = diff_threads(chase_options, serial);
+  if (!diff.empty()) return "uncapped at " + diff;
+  struct Regime {
+    const char* name;
+    uint64_t footprint;
+    ChaseOptions options;
+  };
+  Regime regimes[3] = {
+      {"join-work-capped", serial.join_work, chase_options},
+      {"hom-capped", serial.hom_discoveries, chase_options},
+      {"step-capped", serial.applied_triggers, chase_options},
+  };
+  regimes[0].options.max_join_work = serial.join_work / 2;
+  regimes[1].options.max_hom_discoveries = serial.hom_discoveries / 2;
+  regimes[2].options.max_steps = serial.applied_triggers / 2;
+  for (const Regime& regime : regimes) {
+    if (regime.footprint <= 1) continue;
+    const ChaseResult one_thread =
+        RunChase(fuzz_case.rules, regime.options, fuzz_case.database);
+    diff = diff_threads(regime.options, one_thread);
+    if (!diff.empty()) return std::string(regime.name) + " at " + diff;
   }
   return "";
 }
@@ -556,46 +558,12 @@ OracleResult CheckParallelDeterminism(const FuzzCase& fuzz_case,
         "restricted): " +
         batch_diff);
   }
-  // Same for the discovery strategies: the compiled-plan executor must be
-  // bit-identical to the backtracking search — including join_work, so
-  // cap-adjacent regimes (where planned rounds fall back to a wholesale
-  // serial rerun) are exercised explicitly.
-  const std::string plan_diff = PlanTwinDiffAllRegimes(fuzz_case, serial, base);
-  if (!plan_diff.empty()) {
-    return Violation(
-        "compiled join plans are not bit-identical to backtracking "
-        "discovery (serial, restricted): " +
-        plan_diff);
-  }
-  for (uint32_t threads : options.thread_counts) {
-    ChaseOptions parallel = serial;
-    parallel.discovery_threads = threads;
-    parallel.parallel_cutover_work = 0;  // force the parallel engine
-    ChaseResult run = RunChase(fuzz_case.rules, parallel, fuzz_case.database);
-    if (Aborted(run.outcome)) {
-      return Inconclusive("parallel run aborted by governor");
-    }
-    std::string why;
-    if (run.outcome != base.outcome ||
-        run.applied_triggers != base.applied_triggers ||
-        run.rounds != base.rounds || run.nulls_created != base.nulls_created) {
-      why = "run counters differ";
-    } else {
-      InstancesIdentical(base.instance, run.instance, &why);
-    }
-    if (!why.empty()) {
-      return Violation("parallel discovery at " + std::to_string(threads) +
-                       " threads is not bit-identical to serial: " + why);
-    }
-    // Plan-on vs plan-off under the parallel engine as well — the merge
-    // order and fallback policy must not depend on the thread count.
-    const std::string parallel_plan_diff = PlanTwinDiff(fuzz_case, parallel);
-    if (!parallel_plan_diff.empty()) {
-      return Violation("compiled join plans are not bit-identical to "
-                       "backtracking discovery at " +
-                       std::to_string(threads) +
-                       " threads: " + parallel_plan_diff);
-    }
+  const std::string thread_diff =
+      ThreadTwinDiffAllRegimes(fuzz_case, serial, base, options.thread_counts);
+  if (!thread_diff.empty()) {
+    return Violation("parallel discovery is not bit-identical to serial "
+                     "(restricted), " +
+                     thread_diff);
   }
   return Pass();
 }
@@ -714,14 +682,6 @@ OracleResult CheckOrderEquivalence(const FuzzCase& fuzz_case,
                                      "a provenance run (") +
                          ChaseVariantName(variant) + ", order " + run.name +
                          "): " + diff);
-      }
-      const std::string plan_diff = PlanTwinDiff(fuzz_case, chase_options);
-      if (!plan_diff.empty()) {
-        return Violation(std::string("compiled join plans are not "
-                                     "bit-identical to backtracking "
-                                     "discovery (") +
-                         ChaseVariantName(variant) + ", order " + run.name +
-                         "): " + plan_diff);
       }
     }
   }

@@ -34,16 +34,14 @@ enum class OracleId : uint32_t {
   /// (acyclic ⇒ terminating), which is checked too.
   kSyntacticVsDecider = 2,
   /// Engine metamorphic: parallel trigger discovery is bit-identical to
-  /// serial at every thread count (same outcome, same trigger sequence,
-  /// same instance, atom by atom). Also pins the serial baseline itself:
-  /// a plain run (staged head atoms) must be bit-identical to a
-  /// provenance run (each head atom inserted at once), uncapped and under
-  /// step/atom/null cap regimes tightened
-  /// around the base run's own footprint; and compiled-plan discovery
-  /// must be bit-identical to the backtracking search — join_work
-  /// included — uncapped, under join-work/hom/step cap regimes (where
-  /// cap-adjacent plan rounds fall back to a legacy rerun), and under
-  /// the parallel engine at every thread count.
+  /// serial at every thread count — same outcome, counters (join_work
+  /// included), per-rule and per-round stats and instance, atom by atom —
+  /// uncapped and under join-work/hom/step cap regimes tightened around
+  /// the serial run's own footprint, where the merge stops a round inside
+  /// a unit. Also pins the serial baseline itself: a plain run (staged
+  /// head atoms) must be bit-identical to a provenance run (each head
+  /// atom inserted at once), uncapped and under step/atom/null cap
+  /// regimes.
   kParallelDeterminism = 3,
   /// Engine metamorphic: a chase result round-trips through storage/io
   /// (write → parse → atom-for-atom correspondence, nulls mapped to
@@ -52,9 +50,8 @@ enum class OracleId : uint32_t {
   /// Engine metamorphic: restricted-chase results under different fair
   /// trigger orders are homomorphically equivalent whenever both orders
   /// terminate (each result is a universal model of (Σ, D)). Also pins
-  /// plain-vs-provenance and plan-on-vs-plan-off bit-identity across the
-  /// full variant × order grid (counters, per-rule/per-round stats,
-  /// instance ids).
+  /// plain-vs-provenance bit-identity across the full variant × order
+  /// grid (counters, per-rule/per-round stats, instance ids).
   kOrderEquivalence = 5,
   /// Engine metamorphic: memory governance never corrupts a run. Per
   /// variant, against an uncapped base run: (a) an injected memory-budget

@@ -27,23 +27,6 @@ class Search {
   }
 
  private:
-  MatchRange RangeOf(std::size_t conjunct) const {
-    if (options_.ranges.empty()) return MatchRange::kAll;
-    return options_.ranges[conjunct];
-  }
-
-  bool InRange(AtomId id, MatchRange range) const {
-    switch (range) {
-      case MatchRange::kAll:
-        return true;
-      case MatchRange::kOldOnly:
-        return id < options_.watermark;
-      case MatchRange::kDeltaOnly:
-        return id >= options_.watermark;
-    }
-    return true;
-  }
-
   /// Estimated candidate count for a conjunct under the current binding,
   /// plus the most selective (pred, pos, term) probe if one exists.
   struct Plan {
@@ -96,7 +79,6 @@ class Search {
     }
     GCHASE_CHECK(best < conjunction_.size());
     const Atom& pattern = conjunction_[best];
-    const MatchRange range = RangeOf(best);
     const PostingList candidates =
         best_plan.use_position
             ? instance_.AtomsWithTermAt(pattern.predicate, best_plan.position,
@@ -124,7 +106,6 @@ class Search {
         stop_ = true;
         break;
       }
-      if (!InRange(id, range)) continue;
       const AtomView fact = instance_.atom(id);
       // Unify pattern against fact, recording newly bound variables.
       trail.clear();
@@ -170,8 +151,6 @@ void HomomorphismFinder::FindAllWithOptions(
     const std::vector<Atom>& conjunction, uint32_t num_variables,
     const HomSearchOptions& options, const Binding& initial,
     const std::function<bool(const Binding&)>& callback) const {
-  GCHASE_CHECK(options.ranges.empty() ||
-               options.ranges.size() == conjunction.size());
   Binding binding(num_variables, UnboundTerm());
   for (std::size_t v = 0; v < initial.size() && v < binding.size(); ++v) {
     binding[v] = initial[v];

@@ -24,18 +24,12 @@ inline Term UnboundTerm() { return Term::Null(kUnboundIndex); }
 inline bool IsBound(Term t) { return t != UnboundTerm(); }
 
 /// Options for one FindHomomorphisms call.
-/// (MatchRange itself lives in storage/instance.h, next to the posting
-/// probe API that clips to it.)
 ///
 /// Concurrency: a search only reads the instance, so any number of
 /// searches may run in parallel against one Instance that no thread is
 /// mutating. The `visits` and `budget_exhausted` out-pointers are written
 /// without synchronization — give each concurrent search its own.
 struct HomSearchOptions {
-  /// Per-conjunct match ranges; empty means kAll for every conjunct.
-  std::vector<MatchRange> ranges;
-  /// Id boundary between "old" and "delta" atoms.
-  AtomId watermark = 0;
   /// Cap on candidate atoms visited by the backtracking search (bounds
   /// join *work*, not just results; high-fanout unguarded joins can do
   /// enormous work while yielding few homomorphisms).
@@ -55,7 +49,9 @@ struct HomSearchOptions {
   bool* governor_tripped = nullptr;
 };
 
-/// Backtracking conjunctive matcher.
+/// Backtracking conjunctive matcher for head checks, queries, cores and
+/// model checks (trigger discovery runs the PlanExecutor, which makes the
+/// same choices over range-clipped posting lists).
 ///
 /// Enumerates homomorphisms h from a conjunction of atoms (whose variables
 /// are dense ids < num_variables) into `instance`, extending an optional
@@ -78,7 +74,7 @@ class HomomorphismFinder {
                        Binding(), callback);
   }
 
-  /// Full-control variant: semi-naive ranges plus an initial partial
+  /// Full-control variant: search options plus an initial partial
   /// binding (`initial` may be empty or sized num_variables).
   void FindAllWithOptions(const std::vector<Atom>& conjunction,
                           uint32_t num_variables,

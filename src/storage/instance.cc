@@ -184,17 +184,6 @@ uint32_t Instance::CountWithPredicateSince(PredicateId pred,
   return static_cast<uint32_t>(ids.end() - it);
 }
 
-PostingView Instance::PredicatePostings(PredicateId pred, MatchRange range,
-                                        AtomId watermark) const {
-  return ClipPostings(AtomsWithPredicate(pred), range, watermark);
-}
-
-PostingView Instance::PositionPostings(PredicateId pred, uint32_t position,
-                                       Term term, MatchRange range,
-                                       AtomId watermark) const {
-  return ClipPostings(AtomsWithTermAt(pred, position, term), range, watermark);
-}
-
 uint32_t Instance::CountNulls() const {
   std::unordered_set<uint32_t> nulls;
   for (Term t : arena_.terms()) {

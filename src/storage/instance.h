@@ -16,7 +16,7 @@ namespace gchase {
 
 /// Which atoms of the instance a conjunct may match; used for semi-naive
 /// trigger discovery (every new homomorphism must touch the delta). Lives
-/// with the storage layer because the posting-list probe API clips to a
+/// with the storage layer because ClipPostings clips a posting list to a
 /// range directly — append-ordered ids make both bounds a binary search.
 enum class MatchRange {
   kAll,       ///< Any atom.
@@ -24,32 +24,23 @@ enum class MatchRange {
   kDeltaOnly, ///< Atoms with id >= watermark.
 };
 
-/// A borrowed, range-clipped view of one posting list. `full_size` is the
-/// unclipped list length — the join-work charge of scanning the list in
-/// the backtracking engine, which visits every candidate and filters by
-/// range per candidate. Keeping the two separate lets the set-at-a-time
-/// plan executor skip out-of-range candidates without touching them while
-/// still accounting visits in the legacy engine's units.
+/// A borrowed, range-clipped span of one posting list.
 struct PostingView {
   const AtomId* begin = nullptr;
   const AtomId* end = nullptr;
-  uint32_t full_size = 0;
 
   uint32_t size() const { return static_cast<uint32_t>(end - begin); }
 };
 
 /// Clip an append-ordered posting list to `range` relative to `watermark`.
 /// Because ids are sorted, one binary search finds the boundary; kAll needs
-/// no search at all. full_size stays the unclipped length — the legacy
-/// engine's visit count for scanning this list. Exposed inline so hot
-/// executor loops can probe raw lists (hash lookup only) and clip just the
-/// list they actually scan.
+/// no search at all. Exposed inline so hot executor loops can probe raw
+/// lists (hash lookup only) and clip just the list they actually scan.
 inline PostingView ClipPostings(PostingList ids, MatchRange range,
                                 AtomId watermark) {
   PostingView view;
   view.begin = ids.begin();
   view.end = ids.end();
-  view.full_size = ids.size();
   if (range == MatchRange::kAll) return view;
   const AtomId* split = std::lower_bound(view.begin, view.end, watermark);
   if (range == MatchRange::kOldOnly) {
@@ -190,16 +181,6 @@ class Instance {
                               Term term) const {
     return position_index_.Find(PositionIndex::Key(pred, position, term));
   }
-
-  /// Range-clipped view of AtomsWithPredicate(pred): the ids in `range`
-  /// relative to `watermark`, found by binary search on the append-ordered
-  /// list, plus the unclipped length for visit accounting.
-  PostingView PredicatePostings(PredicateId pred, MatchRange range,
-                                AtomId watermark) const;
-
-  /// Range-clipped view of AtomsWithTermAt(pred, position, term).
-  PostingView PositionPostings(PredicateId pred, uint32_t position, Term term,
-                               MatchRange range, AtomId watermark) const;
 
   /// Number of distinct labeled nulls occurring in the instance.
   uint32_t CountNulls() const;

@@ -73,24 +73,6 @@ TEST(HomomorphismTest, InitialBindingRestricts) {
   EXPECT_EQ((*match)[1], d);
 }
 
-TEST(HomomorphismTest, DeltaModeRequiresNewAtoms) {
-  ParsedProgram program = MustParse("e(a,b). e(b,c).\n");
-  Instance instance = MakeInstance(program.facts);
-  StatusOr<ParsedQuery> query = ParseQuery("e(X,Y)", &program.vocabulary);
-  ASSERT_TRUE(query.ok());
-  HomomorphismFinder finder(instance);
-  HomSearchOptions options;
-  options.watermark = 1;  // atom 0 is "old", atom 1 is "delta"
-  options.ranges = {MatchRange::kDeltaOnly};
-  int count = 0;
-  finder.FindAllWithOptions(query->atoms, 2, options, Binding(),
-                            [&count](const Binding&) {
-                              ++count;
-                              return true;
-                            });
-  EXPECT_EQ(count, 1);
-}
-
 TEST(HomomorphismTest, EarlyStopViaCallback) {
   ParsedProgram program = MustParse("p(a). p(b). p(c).\n");
   Instance instance = MakeInstance(program.facts);

@@ -1,115 +1,211 @@
-// Tests for the compiled discovery join plans (chase/join_plan.{h,cc} +
-// chase/plan_executor.{h,cc}): plan compilation and plannability rules,
-// the depth-zero order choice, BindingSegment budget mechanics, and —
-// the core contract — bit-identity of plan-on against plan-off runs
-// across the variant x order grid, discovery-cap sweeps (including exact
-// join-work accounting parity), fault-injection abort points, and
-// parallel thread counts.
+// Tests for trigger discovery's one engine (chase/plan_executor.{h,cc}
+// and the unit merge in chase/chase.cc): the executor's conjunct choice,
+// range clipping and join-work charge against the backtracking search,
+// BindingSegment budget mechanics, bit-identity of one discovery thread
+// against four across the variant x order grid, discovery-cap sweeps and
+// fault-injection abort points, and counters recorded from the engines
+// the executor replaced.
 
-#include "chase/join_plan.h"
+#include "chase/plan_executor.h"
 
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "base/memory_budget.h"
 #include "chase/chase.h"
-#include "chase/plan_executor.h"
+#include "generator/random_rules.h"
 #include "gtest/gtest.h"
+#include "storage/homomorphism.h"
 #include "storage/instance.h"
+#include "termination/critical_instance.h"
 #include "tests/test_util.h"
 
 namespace gchase {
 namespace {
 
-// -------------------------------------------------------------------------
-// Plan compilation.
+constexpr uint64_t kUnlimited = std::numeric_limits<uint64_t>::max();
 
-TEST(JoinPlanTest, CompilesOneAndTwoConjunctBodies) {
-  ParsedProgram program = MustParse(
-      "p(X) -> q(X).\n"
-      "e(X,Y), e(Y,Z) -> e(X,Z).\n"
-      "a(X,Y), b(Y,Z), c(Z,W) -> d(X,W).\n");
-  JoinPlanSet plans = JoinPlanSet::Compile(program.rules);
-  ASSERT_EQ(plans.size(), 3u);
-  EXPECT_EQ(plans.plannable_rules(), 2u);
-
-  const RuleJoinPlan& unary = plans.plan(0);
-  ASSERT_TRUE(unary.plannable);
-  EXPECT_EQ(unary.body_size, 1u);
-  ASSERT_EQ(unary.orders.size(), 1u);
-  ASSERT_EQ(unary.orders[0].size(), 1u);
-  EXPECT_EQ(unary.orders[0][0].conjunct, 0u);
-
-  const RuleJoinPlan& closure = plans.plan(1);
-  ASSERT_TRUE(closure.plannable);
-  EXPECT_EQ(closure.body_size, 2u);
-  ASSERT_EQ(closure.orders.size(), 2u);
-  // Order starting at conjunct 0: step 1 matches conjunct 1 with its
-  // first position (the shared variable Y) as the one probe site.
-  const std::vector<PlanStep>& order0 = closure.orders[0];
-  ASSERT_EQ(order0.size(), 2u);
-  EXPECT_EQ(order0[0].conjunct, 0u);
-  EXPECT_EQ(order0[1].conjunct, 1u);
-  ASSERT_EQ(order0[1].probes.size(), 1u);
-  EXPECT_EQ(order0[1].probes[0].position, 0u);
-  EXPECT_FALSE(order0[1].probes[0].is_constant);
-  // In that step, position 0 checks the bound Y and position 1 binds Z.
-  ASSERT_EQ(order0[1].ops.size(), 2u);
-  EXPECT_EQ(order0[1].ops[0].kind, PlanOp::Kind::kCheckVar);
-  EXPECT_EQ(order0[1].ops[1].kind, PlanOp::Kind::kBindVar);
-
-  const RuleJoinPlan& wide = plans.plan(2);
-  EXPECT_FALSE(wide.plannable);
-  EXPECT_STREQ(wide.fallback_reason, "body-too-wide");
+Instance MakeInstance(const std::vector<Atom>& facts) {
+  Instance instance;
+  for (const Atom& atom : facts) instance.Insert(atom);
+  return instance;
 }
 
+/// Runs unit (rule 0, `pivot`) of `program` over `instance`, uncapped.
+PlanExecutor::UnitStatus RunUnit(const ParsedProgram& program,
+                                 const Instance& instance, uint32_t pivot,
+                                 AtomId watermark, BindingSegment* out) {
+  return PlanExecutor(instance).ExecuteUnit(program.rules.rule(0), pivot,
+                                            watermark, kUnlimited, kUnlimited,
+                                            /*governor=*/nullptr, out);
+}
+
+Term Constant(const ParsedProgram& program, const char* name) {
+  return Term::Constant(*program.vocabulary.constants.Find(name));
+}
+
+// -------------------------------------------------------------------------
+// The executor's choices and charges.
+
 TEST(JoinPlanTest, ConstantsBecomeChecksAndProbeSites) {
-  ParsedProgram program = MustParse("p(c,X) -> q(X).\n");
-  JoinPlanSet plans = JoinPlanSet::Compile(program.rules);
-  const RuleJoinPlan& plan = plans.plan(0);
-  ASSERT_TRUE(plan.plannable);
-  const PlanStep& step = plan.orders[0][0];
-  ASSERT_EQ(step.ops.size(), 2u);
-  EXPECT_EQ(step.ops[0].kind, PlanOp::Kind::kCheckConst);
-  EXPECT_EQ(step.ops[1].kind, PlanOp::Kind::kBindVar);
-  // The constant is a seed probe site (usable under the empty binding).
-  ASSERT_EQ(plan.seeds.size(), 1u);
-  ASSERT_EQ(plan.seeds[0].const_probes.size(), 1u);
-  EXPECT_EQ(plan.seeds[0].const_probes[0].position, 0u);
+  ParsedProgram program = MustParse(
+      "p(c,X) -> q(X).\n"
+      "p(c,a). p(d,b). p(c,e). p(d,f). p(d,g).\n");
+  const Instance instance = MakeInstance(program.facts);
+  BindingSegment out;
+  const PlanExecutor::UnitStatus status =
+      RunUnit(program, instance, 0, /*watermark=*/0, &out);
+  // Only the two p(c,_) atoms match, and the scan reads the (p, 0, c)
+  // list instead of all five p atoms.
+  ASSERT_EQ(out.rows(), 2u);
+  EXPECT_EQ(out.row(0)[0], Constant(program, "a"));
+  EXPECT_EQ(out.row(1)[0], Constant(program, "e"));
+  EXPECT_EQ(status.charge, 2u);
 }
 
 TEST(JoinPlanTest, RepeatedVariableChecksWithoutProbing) {
-  // The second occurrence of X within one conjunct checks but is not a
-  // probe site (unbound at planning time), matching the backtracking
-  // engine's per-node planner.
-  ParsedProgram program = MustParse("e(X,X) -> q(X).\n");
-  JoinPlanSet plans = JoinPlanSet::Compile(program.rules);
-  const PlanStep& step = plans.plan(0).orders[0][0];
-  ASSERT_EQ(step.ops.size(), 2u);
-  EXPECT_EQ(step.ops[0].kind, PlanOp::Kind::kBindVar);
-  EXPECT_EQ(step.ops[1].kind, PlanOp::Kind::kCheckVar);
-  EXPECT_TRUE(step.probes.empty());
+  // The second X checks the first, but X is unbound when the conjunct is
+  // chosen, so neither position is a probe site: the scan reads all of e.
+  ParsedProgram program = MustParse(
+      "e(X,X) -> q(X).\n"
+      "e(a,b). e(b,b). e(c,a). e(d,d).\n");
+  const Instance instance = MakeInstance(program.facts);
+  BindingSegment out;
+  const PlanExecutor::UnitStatus status =
+      RunUnit(program, instance, 0, /*watermark=*/0, &out);
+  ASSERT_EQ(out.rows(), 2u);
+  EXPECT_EQ(out.row(0)[0], Constant(program, "b"));
+  EXPECT_EQ(out.row(1)[0], Constant(program, "d"));
+  EXPECT_EQ(status.charge, 4u);
 }
 
 TEST(JoinPlanTest, ChooseFirstConjunctPrefersSmallerRelation) {
   ParsedProgram program = MustParse(
       "big(X,Y), small(Y,Z) -> out(X,Z).\n"
       "big(a,b). big(b,c). big(c,d). small(d,e).\n");
-  Instance instance;
-  for (const Atom& atom : program.facts) instance.Insert(atom);
-  JoinPlanSet plans = JoinPlanSet::Compile(program.rules);
-  EXPECT_EQ(ChooseFirstConjunct(instance, plans.plan(0)), 1u);
+  const Instance instance = MakeInstance(program.facts);
+  BindingSegment out;
+  const PlanExecutor::UnitStatus status =
+      RunUnit(program, instance, 0, /*watermark=*/0, &out);
+  ASSERT_EQ(out.rows(), 1u);
+  // small first: its one atom, then the one big atom with Y = d. Starting
+  // from big would have counted its three atoms first.
+  EXPECT_EQ(status.charge, 2u);
 }
 
 TEST(JoinPlanTest, ChooseFirstConjunctTiesToLowerIndex) {
   ParsedProgram program = MustParse(
       "p(X,Y), q(Y,Z) -> out(X,Z).\n"
-      "p(a,b). q(b,c).\n");
-  Instance instance;
-  for (const Atom& atom : program.facts) instance.Insert(atom);
-  JoinPlanSet plans = JoinPlanSet::Compile(program.rules);
-  // Both relations have one atom: the tie goes to conjunct 0, exactly as
-  // the backtracking engine's strict-< argmin keeps the first plan.
-  EXPECT_EQ(ChooseFirstConjunct(instance, plans.plan(0)), 0u);
+      "p(a,b). p(x,y). q(y,w). q(b,c).\n");
+  const Instance instance = MakeInstance(program.facts);
+  BindingSegment out;
+  RunUnit(program, instance, 0, /*watermark=*/0, &out);
+  // Both lists hold two atoms: the tie goes to p, whose id order puts the
+  // X = a row first (q's would put X = x first).
+  ASSERT_EQ(out.rows(), 2u);
+  EXPECT_EQ(out.row(0)[0], Constant(program, "a"));
+  EXPECT_EQ(out.row(1)[0], Constant(program, "x"));
+}
+
+TEST(PlanExecutorTest, DeltaModeRequiresNewAtoms) {
+  ParsedProgram program = MustParse(
+      "e(X,Y) -> q(X).\n"
+      "e(a,b). e(b,c).\n");
+  const Instance instance = MakeInstance(program.facts);
+  BindingSegment out;
+  // Atom 0 is old and atom 1 delta: the delta-only pivot matches atom 1,
+  // and the old atom ahead of it still counts.
+  const PlanExecutor::UnitStatus status =
+      RunUnit(program, instance, 0, /*watermark=*/1, &out);
+  ASSERT_EQ(out.rows(), 1u);
+  EXPECT_EQ(out.row(0)[0], Constant(program, "b"));
+  EXPECT_EQ(status.charge, 2u);
+}
+
+TEST(PlanExecutorTest, EnumeratesInIdLexOrderWithDeltaPivot) {
+  ParsedProgram program = MustParse(
+      "e(X,Y), e(Y,Z) -> e(X,Z).\n"
+      "e(a,b). e(b,c). e(c,d).\n");
+  const Instance instance = MakeInstance(program.facts);
+  BindingSegment out;
+  // Watermark 0: everything is delta. Pivot 0 enumerates both chain joins
+  // (a,b,c) and (b,c,d) in id order.
+  PlanExecutor::UnitStatus status =
+      RunUnit(program, instance, 0, /*watermark=*/0, &out);
+  EXPECT_FALSE(status.budget_exhausted);
+  ASSERT_EQ(out.rows(), 2u);
+  EXPECT_EQ(out.row(0)[0], instance.atom(0).args[0]);
+  EXPECT_EQ(out.row(1)[0], instance.atom(1).args[0]);
+
+  // Pivot 1 with the watermark past the whole instance: an empty delta
+  // and no rows, but the old atoms of the lists the walk picks still
+  // count, as they do in the search.
+  status = RunUnit(program, instance, 1, /*watermark=*/instance.size(), &out);
+  EXPECT_EQ(out.rows(), 0u);
+  EXPECT_GT(status.charge, 0u);
+}
+
+/// The backtracking search over `body` with every conjunct in range: its
+/// bindings in order and its visit count, stopped after `row_cap` rows
+/// or past `max_visits` visits.
+struct SearchRun {
+  std::vector<Binding> rows;
+  uint64_t visits = 0;
+  bool exhausted = false;
+};
+SearchRun RunSearch(const Instance& instance, const Tgd& rule,
+                    uint64_t max_visits, uint64_t row_cap) {
+  SearchRun run;
+  HomSearchOptions options;
+  options.max_candidate_visits = max_visits;
+  options.visits = &run.visits;
+  options.budget_exhausted = &run.exhausted;
+  HomomorphismFinder(instance).FindAllWithOptions(
+      rule.body(), rule.num_variables(), options, Binding(),
+      [&](const Binding& binding) {
+        run.rows.push_back(binding);
+        return run.rows.size() < row_cap;
+      });
+  return run;
+}
+
+TEST(PlanExecutorTest, MatchesTheSearchOnWideBodies) {
+  // With watermark 0 every conjunct after the pivot-0 delta is in range,
+  // so unit (rule, 0) must enumerate what the unranged search does, in
+  // its order, with its visit count — also where a row cap or a visit
+  // budget stops both partway.
+  ParsedProgram program = MustParse(
+      "e(X,Y), e(Y,Z), f(Z,W), s(W) -> p(X,W).\n"
+      "e(X,Y), f(Y,Z), e(Z,X) -> p(X,Z).\n"
+      "e(n0,n1). e(n1,n2). e(n2,n3). e(n3,n1). e(n2,n0). e(n1,n0).\n"
+      "f(n1,n2). f(n3,n0). f(n2,n2). f(n0,n1). s(n2). s(n0).\n");
+  const Instance instance = MakeInstance(program.facts);
+  for (uint32_t r = 0; r < program.rules.size(); ++r) {
+    const Tgd& rule = program.rules.rule(r);
+    const SearchRun full = RunSearch(instance, rule, kUnlimited, kUnlimited);
+    ASSERT_GT(full.rows.size(), 2u) << r;
+    for (uint64_t row_cap : {kUnlimited, uint64_t{1}, uint64_t{2}}) {
+      for (uint64_t budget : {kUnlimited, full.visits / 2, uint64_t{3}}) {
+        const SearchRun search = RunSearch(instance, rule, budget, row_cap);
+        BindingSegment out;
+        const PlanExecutor::UnitStatus status =
+            PlanExecutor(instance).ExecuteUnit(rule, 0, 0, budget, row_cap,
+                                               nullptr, &out);
+        const std::string context = "rule " + std::to_string(r) + " cap " +
+                                    std::to_string(row_cap) + " budget " +
+                                    std::to_string(budget);
+        EXPECT_EQ(status.charge, search.visits) << context;
+        EXPECT_EQ(status.budget_exhausted, search.exhausted) << context;
+        ASSERT_EQ(out.rows(), search.rows.size()) << context;
+        for (uint64_t i = 0; i < out.rows(); ++i) {
+          EXPECT_EQ(Binding(out.row(i), out.row(i) + rule.num_variables()),
+                    search.rows[i])
+              << context << " row " << i;
+        }
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------------------
@@ -147,7 +243,9 @@ TEST(BindingSegmentTest, RowsRoundTrip) {
 }
 
 // -------------------------------------------------------------------------
-// Bit-identity: plan-on vs plan-off across variants, orders, caps.
+// Bit-identity: one discovery thread against four, across variants,
+// orders and caps. Every round fans out (cutover 0), so capped rounds
+// exercise the merge's cap enforcement on units that ran concurrently.
 
 struct TwinRun {
   ChaseOutcome outcome;
@@ -161,8 +259,9 @@ struct TwinRun {
 };
 
 TwinRun RunTwin(const ParsedProgram& program, ChaseOptions options,
-                bool plans) {
-  options.join_plans = plans;
+                uint32_t threads) {
+  options.discovery_threads = threads;
+  options.parallel_cutover_work = 0;
   ChaseRun run(program.rules, options, program.facts);
   TwinRun result;
   result.outcome = run.Execute();
@@ -176,60 +275,57 @@ TwinRun RunTwin(const ParsedProgram& program, ChaseOptions options,
   return result;
 }
 
-/// Asserts full bit-identity of a plan-on run against its plan-off twin.
-/// Unlike apply-path twinning, join_work is asserted *equal*: the plan
-/// executor charges exactly the candidate visits the backtracking search
-/// performs, so work accounting is part of the contract here.
+/// Asserts full bit-identity of a `threads`-thread run against the
+/// one-thread run, join work and per-round binding rows included: every
+/// unit gets the round-start budgets at any thread count and the merge
+/// enforces the caps in unit order.
 void ExpectTwinsIdentical(const ParsedProgram& program,
                           const ChaseOptions& options,
-                          const std::string& context) {
-  TwinRun planned = RunTwin(program, options, true);
-  TwinRun legacy = RunTwin(program, options, false);
-  EXPECT_EQ(planned.outcome, legacy.outcome) << context;
-  EXPECT_EQ(planned.applied, legacy.applied) << context;
-  EXPECT_EQ(planned.rounds, legacy.rounds) << context;
-  EXPECT_EQ(planned.nulls, legacy.nulls) << context;
-  EXPECT_EQ(planned.hom_discoveries, legacy.hom_discoveries) << context;
-  EXPECT_EQ(planned.join_work, legacy.join_work) << context;
-  ASSERT_EQ(planned.atoms.size(), legacy.atoms.size()) << context;
-  for (std::size_t i = 0; i < planned.atoms.size(); ++i) {
-    ASSERT_TRUE(planned.atoms[i] == legacy.atoms[i])
+                          const std::string& context, uint32_t threads = 4) {
+  TwinRun serial = RunTwin(program, options, 1);
+  TwinRun parallel = RunTwin(program, options, threads);
+  EXPECT_EQ(serial.outcome, parallel.outcome) << context;
+  EXPECT_EQ(serial.applied, parallel.applied) << context;
+  EXPECT_EQ(serial.rounds, parallel.rounds) << context;
+  EXPECT_EQ(serial.nulls, parallel.nulls) << context;
+  EXPECT_EQ(serial.hom_discoveries, parallel.hom_discoveries) << context;
+  EXPECT_EQ(serial.join_work, parallel.join_work) << context;
+  ASSERT_EQ(serial.atoms.size(), parallel.atoms.size()) << context;
+  for (std::size_t i = 0; i < serial.atoms.size(); ++i) {
+    ASSERT_TRUE(serial.atoms[i] == parallel.atoms[i])
         << context << " atom " << i;
   }
-  ASSERT_EQ(planned.stats.per_rule.size(), legacy.stats.per_rule.size())
+  ASSERT_EQ(serial.stats.per_rule.size(), parallel.stats.per_rule.size())
       << context;
-  for (std::size_t r = 0; r < planned.stats.per_rule.size(); ++r) {
-    EXPECT_EQ(planned.stats.per_rule[r].discovered,
-              legacy.stats.per_rule[r].discovered)
+  for (std::size_t r = 0; r < serial.stats.per_rule.size(); ++r) {
+    EXPECT_EQ(serial.stats.per_rule[r].discovered,
+              parallel.stats.per_rule[r].discovered)
         << context << " rule " << r;
-    EXPECT_EQ(planned.stats.per_rule[r].applied,
-              legacy.stats.per_rule[r].applied)
+    EXPECT_EQ(serial.stats.per_rule[r].applied,
+              parallel.stats.per_rule[r].applied)
         << context << " rule " << r;
-    EXPECT_EQ(planned.stats.per_rule[r].skipped_satisfied,
-              legacy.stats.per_rule[r].skipped_satisfied)
-        << context << " rule " << r;
-    // Plan activity is strictly a plan-on phenomenon.
-    EXPECT_EQ(legacy.stats.per_rule[r].plan_rotations, 0u)
+    EXPECT_EQ(serial.stats.per_rule[r].skipped_satisfied,
+              parallel.stats.per_rule[r].skipped_satisfied)
         << context << " rule " << r;
   }
-  ASSERT_EQ(planned.stats.per_round.size(), legacy.stats.per_round.size())
+  ASSERT_EQ(serial.stats.per_round.size(), parallel.stats.per_round.size())
       << context;
-  for (std::size_t i = 0; i < planned.stats.per_round.size(); ++i) {
-    EXPECT_EQ(planned.stats.per_round[i].candidates,
-              legacy.stats.per_round[i].candidates)
-        << context << " round " << i;
-    EXPECT_EQ(planned.stats.per_round[i].applied,
-              legacy.stats.per_round[i].applied)
-        << context << " round " << i;
-    EXPECT_EQ(legacy.stats.per_round[i].plan_units, 0u)
-        << context << " round " << i;
+  for (std::size_t i = 0; i < serial.stats.per_round.size(); ++i) {
+    const RoundStats& a = serial.stats.per_round[i];
+    const RoundStats& b = parallel.stats.per_round[i];
+    EXPECT_EQ(a.delta_atoms, b.delta_atoms) << context << " round " << i;
+    EXPECT_EQ(a.candidates, b.candidates) << context << " round " << i;
+    EXPECT_EQ(a.applied, b.applied) << context << " round " << i;
+    EXPECT_EQ(a.binding_rows, b.binding_rows) << context << " round " << i;
+    EXPECT_FALSE(a.parallel_discovery) << context << " round " << i;
+    EXPECT_TRUE(b.parallel_discovery) << context << " round " << i;
   }
 }
 
-/// A workload exercising every plan shape at once: a two-conjunct join
-/// (closure), a unary plannable rule with an existential multi-atom head,
-/// a constant in a body position, a repeated variable, and a
-/// three-conjunct non-plannable rule sharing predicates with the rest.
+/// A workload exercising every body shape at once: a two-conjunct join
+/// (closure), a unary rule with an existential multi-atom head, a
+/// constant in a body position, a repeated variable, and a
+/// three-conjunct body sharing predicates with the rest.
 ParsedProgram MixedWorkload() {
   std::string text =
       "e(X,Y), e(Y,Z) -> e(X,Z).\n"
@@ -302,9 +398,9 @@ TEST(JoinPlanTest, BitIdenticalUnderHomDiscoveryCap) {
 }
 
 TEST(JoinPlanTest, BitIdenticalUnderJoinWorkCap) {
-  // The cap that makes visit-accounting parity observable: a plan run
-  // that charged even one visit more or less than the backtracking
-  // search would trip the cap on a different round and diverge.
+  // The cap that makes the charge observable: a parallel run whose merge
+  // charged even one candidate more or less than the one-thread run
+  // would stop in a different place.
   ParsedProgram program = MixedWorkload();
   for (ChaseVariant variant :
        {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
@@ -323,50 +419,33 @@ TEST(JoinPlanTest, BitIdenticalUnderJoinWorkCap) {
 }
 
 TEST(JoinPlanTest, BitIdenticalAcrossThreadCounts) {
-  // Plan-on parallel rounds must agree with plan-on serial rounds and —
-  // transitively — with the legacy serial engine. Cutover 0 forces the
-  // pool on so small rounds exercise the parallel merge too.
   ParsedProgram program = MixedWorkload();
-  ChaseOptions base;
-  base.max_atoms = 4000;
-  base.max_steps = 4000;
-  base.parallel_cutover_work = 0;
-  TwinRun serial = RunTwin(program, base, true);
-  for (uint32_t threads : {2u, 4u}) {
-    ChaseOptions options = base;
-    options.discovery_threads = threads;
-    TwinRun parallel = RunTwin(program, options, true);
-    EXPECT_EQ(parallel.outcome, serial.outcome) << threads;
-    EXPECT_EQ(parallel.applied, serial.applied) << threads;
-    EXPECT_EQ(parallel.hom_discoveries, serial.hom_discoveries) << threads;
-    EXPECT_EQ(parallel.join_work, serial.join_work) << threads;
-    ASSERT_EQ(parallel.atoms.size(), serial.atoms.size()) << threads;
-    for (std::size_t i = 0; i < parallel.atoms.size(); ++i) {
-      ASSERT_TRUE(parallel.atoms[i] == serial.atoms[i])
-          << threads << " atom " << i;
-    }
+  ChaseOptions options;
+  options.max_atoms = 4000;
+  options.max_steps = 4000;
+  for (uint32_t threads : {2u, 3u, 4u}) {
     ExpectTwinsIdentical(program, options,
-                         "threads=" + std::to_string(threads));
+                         "threads=" + std::to_string(threads), threads);
   }
 }
 
 // -------------------------------------------------------------------------
-// Fault-injection abort points: a plan-on run must stop with the same
-// outcome and the same instance as plan-off at every deterministic abort.
-// Counters accrued mid-discovery (hom_discoveries) may legitimately
-// differ on aborted rounds — collect-then-merge engines discard pending
-// work wholesale — so they are not compared here, mirroring the
-// parallel-discovery contract.
+// Fault-injection abort points: a four-thread run must stop with the same
+// outcome and the same instance as the one-thread run at every
+// deterministic abort. Counters accrued mid-discovery (hom_discoveries)
+// may differ on aborted rounds — an aborted phase discards its units
+// wholesale, and concurrent units may have started past the faulting
+// one — so they are not compared here.
 
 void ExpectAbortTwinsAgree(const ParsedProgram& program, ChaseOptions options,
                            const std::string& context) {
-  TwinRun planned = RunTwin(program, options, true);
-  TwinRun legacy = RunTwin(program, options, false);
-  EXPECT_EQ(planned.outcome, legacy.outcome) << context;
-  EXPECT_EQ(planned.applied, legacy.applied) << context;
-  ASSERT_EQ(planned.atoms.size(), legacy.atoms.size()) << context;
-  for (std::size_t i = 0; i < planned.atoms.size(); ++i) {
-    ASSERT_TRUE(planned.atoms[i] == legacy.atoms[i])
+  TwinRun serial = RunTwin(program, options, 1);
+  TwinRun parallel = RunTwin(program, options, 4);
+  EXPECT_EQ(serial.outcome, parallel.outcome) << context;
+  EXPECT_EQ(serial.applied, parallel.applied) << context;
+  ASSERT_EQ(serial.atoms.size(), parallel.atoms.size()) << context;
+  for (std::size_t i = 0; i < serial.atoms.size(); ++i) {
+    ASSERT_TRUE(serial.atoms[i] == parallel.atoms[i])
         << context << " atom " << i;
   }
 }
@@ -424,82 +503,232 @@ TEST(JoinPlanTest, FaultAtTriggerApplyAbortsIdentically) {
 }
 
 // -------------------------------------------------------------------------
-// Plan stats surface.
+// Stats surface.
 
 TEST(JoinPlanTest, StatsReportPlanActivity) {
+  // Only the atom cap binds, and it stops the apply phase: every round's
+  // rows are all merged, so the rows the units wrote (before dedup) are
+  // exactly the homomorphisms the run counted.
   ParsedProgram program = MixedWorkload();
   ChaseOptions options;
   options.max_atoms = 4000;
-  options.max_steps = 4000;
-
-  TwinRun planned = RunTwin(program, options, true);
-  EXPECT_EQ(planned.stats.plannable_rules, 5u);
-  uint64_t plan_units = 0, fallback_units = 0, binding_rows = 0;
-  for (const RoundStats& round : planned.stats.per_round) {
-    plan_units += round.plan_units;
-    fallback_units += round.fallback_units;
+  const TwinRun run = RunTwin(program, options, 1);
+  ASSERT_FALSE(run.stats.per_round.empty());
+  uint64_t binding_rows = 0;
+  for (const RoundStats& round : run.stats.per_round) {
+    EXPECT_GE(round.binding_rows, round.candidates);
     binding_rows += round.binding_rows;
   }
-  EXPECT_GT(plan_units, 0u);
-  // The three-conjunct rule keeps the backtracking path busy every round.
-  EXPECT_GT(fallback_units, 0u);
-  EXPECT_GT(binding_rows, 0u);
-  // The closure rule executed plans and recorded its chosen order.
-  EXPECT_GT(planned.stats.per_rule[0].plan_rotations, 0u);
-  EXPECT_EQ(planned.stats.per_rule[0].plan_order.size(), 2u);
-  // The non-plannable rule never rotated.
-  EXPECT_EQ(planned.stats.per_rule[5].plan_rotations, 0u);
-  EXPECT_TRUE(planned.stats.per_rule[5].plan_order.empty());
-
-  TwinRun legacy = RunTwin(program, options, false);
-  // Plannability is reported either way; execution counters are zero off.
-  EXPECT_EQ(legacy.stats.plannable_rules, 5u);
-  for (const RoundStats& round : legacy.stats.per_round) {
-    EXPECT_EQ(round.plan_units, 0u);
-    EXPECT_EQ(round.binding_rows, 0u);
-  }
+  EXPECT_EQ(binding_rows, run.hom_discoveries);
 }
 
 // -------------------------------------------------------------------------
-// Direct executor check: enumeration order is the id-lexicographic order
-// the backtracking search produces, including semi-naive range clipping.
+// Recorded discovery counters. The expected lines were recorded from the
+// engine pair that ran before the plan executor took over every body
+// width: the compiled plans for one- and two-conjunct bodies, the
+// backtracking search for wider ones and for every round where a
+// discovery cap bound. A change to the discovery order, the join-work
+// charge or where a cap stops a round moves one of these lines.
 
-TEST(PlanExecutorTest, EnumeratesInIdLexOrderWithDeltaPivot) {
-  ParsedProgram program = MustParse(
-      "e(X,Y), e(Y,Z) -> e(X,Z).\n"
-      "e(a,b). e(b,c). e(c,d).\n");
-  Instance instance;
-  for (const Atom& atom : program.facts) instance.Insert(atom);
-  JoinPlanSet plans = JoinPlanSet::Compile(program.rules);
-  const RuleJoinPlan& plan = plans.plan(0);
-  PlanExecutor executor(instance);
-  BindingSegment scratch, out;
+/// Seed 1's guarded set #31 of perfbench's decide_suite, drawn as
+/// DeciderSuiteTest draws it: a set whose bodies are a guard plus side
+/// atoms, whose oblivious chase of the critical instance does not stop.
+RandomProgram SuiteGuardedSet31() {
+  Rng rng = TrialRng(/*seed=*/1 * 3 + 2, /*trial=*/31);
+  RandomRuleSetOptions generator;
+  generator.rule_class = RuleClass::kGuarded;
+  generator.num_predicates = 8;
+  generator.num_rules = 8;
+  generator.min_arity = 1;
+  generator.max_arity = 3;
+  generator.existential_probability = 0.2 + 0.5 * rng.NextDouble();
+  return GenerateRandomRuleSet(&rng, generator);
+}
 
-  // Watermark 0: everything is delta. Pivot 0 with the kDeltaOnly/kAll
-  // split enumerates both chain joins (a,b,c) and (b,c,d) in id order.
-  const uint64_t kUnlimited = std::numeric_limits<uint64_t>::max();
-  PlanExecutor::UnitStatus status =
-      executor.ExecuteUnit(plan, /*pivot=*/0,
-                           ChooseFirstConjunct(instance, plan),
-                           /*watermark=*/0, kUnlimited, kUnlimited,
-                           /*governor=*/nullptr, &scratch, &out);
-  EXPECT_FALSE(status.budget_exhausted);
-  ASSERT_EQ(status.rows, 2u);
-  ASSERT_EQ(out.rows(), 2u);
-  // Row 0 is the (a,b,c) join: X=a, Y=b, Z=c in slot order.
-  EXPECT_EQ(out.row(0)[plan.orders[0][0].ops[0].slot],
-            instance.atom(0).args[0]);
+/// One run, printed as a line: its outcome and counters, and the size
+/// and an FNV-1a fingerprint of the instance's atom list in id order.
+std::string PinLine(const RuleSet& rules, const std::vector<Atom>& facts,
+                    const ChaseOptions& options, const std::string& label) {
+  const ChaseResult result = RunChase(rules, options, facts);
+  uint64_t fingerprint = 14695981039346656037ull;
+  const auto mix = [&fingerprint](uint64_t value) {
+    fingerprint = (fingerprint ^ value) * 1099511628211ull;
+  };
+  for (AtomView atom : result.instance.atoms()) {
+    mix(atom.predicate);
+    mix(atom.arity());
+    for (Term t : atom.args) mix(t.raw());
+  }
+  return label + ": " + ChaseOutcomeName(result.outcome) + " applied " +
+         std::to_string(result.applied_triggers) + " rounds " +
+         std::to_string(result.rounds) + " nulls " +
+         std::to_string(result.nulls_created) + " homs " +
+         std::to_string(result.hom_discoveries) + " join " +
+         std::to_string(result.join_work) + " atoms " +
+         std::to_string(result.instance.size()) + " #" +
+         std::to_string(fingerprint) + "\n";
+}
 
-  // Pivot 1 with watermark past the whole instance: empty delta, no rows,
-  // and the charge reflects the visits a backtracking search would spend
-  // discovering that (it scans the unclipped chosen list).
-  BindingSegment out2;
-  status = executor.ExecuteUnit(plan, /*pivot=*/1,
-                                ChooseFirstConjunct(instance, plan),
-                                /*watermark=*/instance.size(), kUnlimited,
-                                kUnlimited, nullptr, &scratch, &out2);
-  EXPECT_EQ(out2.rows(), 0u);
-  EXPECT_GT(status.charge, 0u);
+/// Runs `rules` on `facts` under o, so and restricted: once with only
+/// `max_atoms`, then with max_join_work, max_hom_discoveries and
+/// max_steps each at half of that run's value.
+std::string PinRuns(const std::string& name, const RuleSet& rules,
+                    const std::vector<Atom>& facts, uint64_t max_atoms) {
+  std::string lines;
+  for (ChaseVariant variant :
+       {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
+        ChaseVariant::kRestricted}) {
+    ChaseOptions options;
+    options.variant = variant;
+    options.max_atoms = max_atoms;
+    const std::string label = name + " " + ChaseVariantName(variant);
+    lines += PinLine(rules, facts, options, label);
+    const ChaseResult base = RunChase(rules, options, facts);
+    ChaseOptions join = options;
+    join.max_join_work = base.join_work / 2;
+    lines += PinLine(rules, facts, join, label + " join/2");
+    ChaseOptions homs = options;
+    homs.max_hom_discoveries = base.hom_discoveries / 2;
+    lines += PinLine(rules, facts, homs, label + " homs/2");
+    ChaseOptions steps = options;
+    steps.max_steps = base.applied_triggers / 2;
+    lines += PinLine(rules, facts, steps, label + " steps/2");
+  }
+  return lines;
+}
+
+TEST(DiscoveryPinTest, CountersAndAtomsMatchTheRecordedRuns) {
+  const std::string expected =
+      "mixed oblivious: resource-limit"
+      " applied 6655 rounds 6 nulls 538"
+      " homs 10232 join 25600 atoms 4001 #1459407004421801067\n"
+      "mixed oblivious join/2: resource-limit"
+      " applied 5351 rounds 6 nulls 538"
+      " homs 5351 join 12801 atoms 3843 #9679335943004727142\n"
+      "mixed oblivious homs/2: resource-limit"
+      " applied 5116 rounds 6 nulls 538"
+      " homs 5116 join 12391 atoms 3840 #2713621908924204841\n"
+      "mixed oblivious steps/2: resource-limit"
+      " applied 3327 rounds 6 nulls 538"
+      " homs 3327 join 8992 atoms 3131 #10704064728693815146\n"
+      "mixed semi-oblivious: resource-limit"
+      " applied 2917 rounds 6 nulls 538"
+      " homs 10232 join 25600 atoms 4001 #1459407004421801067\n"
+      "mixed semi-oblivious join/2: resource-limit"
+      " applied 2759 rounds 6 nulls 538"
+      " homs 5351 join 12801 atoms 3843 #9679335943004727142\n"
+      "mixed semi-oblivious homs/2: resource-limit"
+      " applied 2756 rounds 6 nulls 538"
+      " homs 5116 join 12391 atoms 3840 #2713621908924204841\n"
+      "mixed semi-oblivious steps/2: resource-limit"
+      " applied 1458 rounds 5 nulls 271"
+      " homs 2534 join 6074 atoms 2008 #13976030060431802991\n"
+      "mixed restricted: resource-limit"
+      " applied 2917 rounds 6 nulls 538"
+      " homs 10232 join 31072 atoms 4001 #1459407004421801067\n"
+      "mixed restricted join/2: resource-limit"
+      " applied 2756 rounds 6 nulls 538"
+      " homs 4335 join 16506 atoms 3840 #2713621908924204841\n"
+      "mixed restricted homs/2: resource-limit"
+      " applied 2756 rounds 6 nulls 538"
+      " homs 5116 join 17702 atoms 3840 #2713621908924204841\n"
+      "mixed restricted steps/2: resource-limit"
+      " applied 1458 rounds 5 nulls 271"
+      " homs 2534 join 9106 atoms 2008 #13976030060431802991\n"
+      "wide oblivious: resource-limit"
+      " applied 1162 rounds 10 nulls 334"
+      " homs 1360 join 6411 atoms 1501 #12487912230293806000\n"
+      "wide oblivious join/2: resource-limit"
+      " applied 457 rounds 9 nulls 84"
+      " homs 457 join 3206 atoms 547 #17489059293744119150\n"
+      "wide oblivious homs/2: resource-limit"
+      " applied 680 rounds 9 nulls 201"
+      " homs 680 join 3738 atoms 887 #10740446139092880472\n"
+      "wide oblivious steps/2: resource-limit"
+      " applied 581 rounds 9 nulls 102"
+      " homs 581 join 3639 atoms 689 #269648272619582996\n"
+      "wide semi-oblivious: resource-limit"
+      " applied 1160 rounds 10 nulls 334"
+      " homs 1360 join 6411 atoms 1501 #12487912230293806000\n"
+      "wide semi-oblivious join/2: resource-limit"
+      " applied 455 rounds 9 nulls 84"
+      " homs 457 join 3206 atoms 547 #17489059293744119150\n"
+      "wide semi-oblivious homs/2: resource-limit"
+      " applied 678 rounds 9 nulls 201"
+      " homs 680 join 3738 atoms 887 #10740446139092880472\n"
+      "wide semi-oblivious steps/2: resource-limit"
+      " applied 580 rounds 9 nulls 103"
+      " homs 582 join 3640 atoms 691 #3386115165533454046\n"
+      "wide restricted: resource-limit"
+      " applied 1220 rounds 12 nulls 271"
+      " homs 2337 join 13223 atoms 1501 #13882084974172247109\n"
+      "wide restricted join/2: resource-limit"
+      " applied 1043 rounds 11 nulls 177"
+      " homs 1068 join 7120 atoms 1230 #335767571123291965\n"
+      "wide restricted homs/2: resource-limit"
+      " applied 1162 rounds 11 nulls 271"
+      " homs 1168 join 7622 atoms 1443 #11499446132587522163\n"
+      "wide restricted steps/2: resource-limit"
+      " applied 610 rounds 11 nulls 162"
+      " homs 616 join 4235 atoms 782 #1165028107195960384\n"
+      "G#31 oblivious: resource-limit"
+      " applied 450 rounds 443 nulls 150"
+      " homs 450 join 339627 atoms 601 #7258950051065039677\n"
+      "G#31 oblivious join/2: resource-limit"
+      " applied 318 rounds 311 nulls 106"
+      " homs 318 join 169814 atoms 425 #2716277791360266961\n"
+      "G#31 oblivious homs/2: resource-limit"
+      " applied 225 rounds 218 nulls 75"
+      " homs 225 join 84703 atoms 301 #9348483617430274324\n"
+      "G#31 oblivious steps/2: resource-limit"
+      " applied 225 rounds 218 nulls 75"
+      " homs 225 join 84703 atoms 301 #9348483617430274324\n"
+      "G#31 semi-oblivious: terminated"
+      " applied 10 rounds 3 nulls 3"
+      " homs 11 join 132 atoms 14 #17925779175520727172\n"
+      "G#31 semi-oblivious join/2: resource-limit"
+      " applied 9 rounds 2 nulls 3"
+      " homs 9 join 67 atoms 13 #13424911441002741820\n"
+      "G#31 semi-oblivious homs/2: resource-limit"
+      " applied 5 rounds 1 nulls 0"
+      " homs 5 join 13 atoms 8 #95994293505582095\n"
+      "G#31 semi-oblivious steps/2: resource-limit"
+      " applied 5 rounds 1 nulls 0"
+      " homs 5 join 13 atoms 8 #95994293505582095\n"
+      "G#31 restricted: terminated"
+      " applied 0 rounds 1 nulls 0"
+      " homs 8 join 62 atoms 8 #95994293505582095\n"
+      "G#31 restricted join/2: resource-limit"
+      " applied 0 rounds 1 nulls 0"
+      " homs 8 join 32 atoms 8 #95994293505582095\n"
+      "G#31 restricted homs/2: resource-limit"
+      " applied 0 rounds 1 nulls 0"
+      " homs 4 join 17 atoms 8 #95994293505582095\n"
+      "G#31 restricted steps/2: resource-limit"
+      " applied 0 rounds 1 nulls 0"
+      " homs 1 join 3 atoms 8 #95994293505582095\n";
+
+  std::string actual;
+  const ParsedProgram mixed = MixedWorkload();
+  actual += PinRuns("mixed", mixed.rules, mixed.facts, 4000);
+
+  // A four-conjunct body whose cheapest next conjunct changes with the
+  // binding, fed by an existential rule that keeps its delta nonempty.
+  const ParsedProgram wide = MustParse(
+      "e(X,Y), e(Y,Z), f(Z,W), s(W) -> p(X,W).\n"
+      "p(X,W) -> f(W,V), e(V,X).\n"
+      "f(X,Y) -> s(Y).\n"
+      "e(n0,n1). e(n1,n2). e(n2,n3). e(n3,n1). e(n2,n0).\n"
+      "f(n1,n2). f(n3,n0). f(n2,n2). s(n2). s(n0).\n");
+  actual += PinRuns("wide", wide.rules, wide.facts, 1500);
+
+  RandomProgram g31 = SuiteGuardedSet31();
+  Vocabulary vocabulary = g31.vocabulary;
+  const std::vector<Atom> critical =
+      BuildCriticalInstance(g31.rules, &vocabulary);
+  actual += PinRuns("G#31", g31.rules, critical, 600);
+
+  EXPECT_EQ(actual, expected);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -292,6 +293,84 @@ TEST(ChaseMemoryTest, InjectedAllocationFaultIsEngineInvariant) {
           << stop.engine << " vs " << stops.front().engine << " at ordinal "
           << target;
     }
+  }
+}
+
+// r(a,b0), ..., r(a,b<facts-1>) and one rule whose every homomorphism
+// has the frontier X = a.
+std::string OneFrontierProgram(uint32_t facts) {
+  std::string text = "r(X,Y) -> s(X,Z).\n";
+  for (uint32_t i = 0; i < facts; ++i) {
+    text += "r(a,b" + std::to_string(i) + ").\n";
+  }
+  return text;
+}
+
+TEST(ChaseMemoryTest, TripInAMergeRerunDropsTheRound) {
+  // Under the semi-oblivious chase all homomorphisms but the first are
+  // duplicate triggers, so a step cap of 2 never binds. The first pass
+  // stops each unit at 2 rows; the merge then runs the unit again with
+  // ever more rows until it has them all. A byte budget those rows cross
+  // trips inside a merge run.
+  constexpr uint32_t kFacts = 50000;
+  ParsedProgram program = MustParse(OneFrontierProgram(kFacts));
+  for (uint32_t threads : {1u, 2u}) {
+    ChaseOptions options;
+    options.variant = ChaseVariant::kSemiOblivious;
+    options.max_steps = 2;
+    options.discovery_threads = threads;
+    options.parallel_cutover_work = 0;
+    ChaseRun base(program.rules, options, program.facts);
+    const uint64_t seeded = base.memory_budget().in_use_bytes();
+    ASSERT_EQ(base.Execute(), ChaseOutcome::kTerminated);
+    ASSERT_EQ(base.applied_triggers(), 1u);
+    ASSERT_EQ(base.hom_discoveries(), kFacts);
+    // The rows of the unit's last run: 3 terms each (Z stays unbound).
+    const uint64_t rows_bytes = uint64_t{kFacts} * 3 * sizeof(Term);
+    ASSERT_GE(base.stats().peak_memory_bytes, seeded + rows_bytes);
+
+    ChaseOptions budgeted = options;
+    budgeted.max_memory_bytes = seeded + rows_bytes / 2;
+    ChaseRun run(program.rules, budgeted, program.facts);
+    ASSERT_EQ(run.memory_budget().in_use_bytes(), seeded);
+    // The trip stops the run in discovery: the rows found before it are
+    // dropped, not applied as a round.
+    EXPECT_EQ(run.Execute(), ChaseOutcome::kMemoryBudgetExceeded)
+        << threads << " threads";
+    EXPECT_EQ(run.applied_triggers(), 0u) << threads << " threads";
+    EXPECT_EQ(run.instance().size(), program.facts.size())
+        << threads << " threads";
+    EXPECT_TRUE(run.stats().per_round.empty()) << threads << " threads";
+  }
+}
+
+TEST(ChaseMemoryTest, StepCapStopsTheUnitAtItsRow) {
+  // Without duplicates the step cap binds on the first pass's last row,
+  // so the merge keeps that pass's rows: it never holds the unit's other
+  // rows, and a byte budget they would cross does not trip.
+  constexpr uint32_t kFacts = 50000;
+  ParsedProgram program = MustParse(OneFrontierProgram(kFacts));
+  for (uint32_t threads : {1u, 2u}) {
+    ChaseOptions options;
+    options.variant = ChaseVariant::kOblivious;
+    options.max_steps = 3;
+    options.discovery_threads = threads;
+    options.parallel_cutover_work = 0;
+    ChaseRun base(program.rules, options, program.facts);
+    const uint64_t seeded = base.memory_budget().in_use_bytes();
+    ASSERT_EQ(base.Execute(), ChaseOutcome::kResourceLimit);
+
+    ChaseOptions budgeted = options;
+    budgeted.max_memory_bytes =
+        seeded + uint64_t{kFacts} * 3 * sizeof(Term) / 2;
+    ChaseRun run(program.rules, budgeted, program.facts);
+    EXPECT_EQ(run.Execute(), ChaseOutcome::kResourceLimit)
+        << threads << " threads";
+    EXPECT_EQ(run.applied_triggers(), 3u) << threads << " threads";
+    EXPECT_EQ(run.hom_discoveries(), 3u) << threads << " threads";
+    EXPECT_EQ(run.join_work(), base.join_work()) << threads << " threads";
+    EXPECT_EQ(run.instance().size(), base.instance().size())
+        << threads << " threads";
   }
 }
 

@@ -18,11 +18,6 @@
 //                 list (per-rule counters, per-round timings, peaks)
 //     --threads=N parallel trigger discovery with N workers (default 1;
 //                 the result is bit-identical for every N)
-//     --join-plans=on|off  compiled set-at-a-time join plans for trigger
-//                 discovery (default on); off routes every rule through
-//                 the legacy backtracking search. The result is
-//                 bit-identical either way — this is a performance
-//                 toggle and the differential-testing baseline
 //     --deadline-ms=N  wall-clock budget; an expired run stops at its
 //                 next cooperative checkpoint with the partial instance
 //                 and stats intact
@@ -280,7 +275,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s <file.dlgp> [restricted|semi-oblivious|"
                  "oblivious] [max_atoms] [--dot] [--stats] [--threads=N] "
-                 "[--join-plans=on|off] "
                  "[--deadline-ms=N] [--max-memory-mb=N] "
                  "[--load-csv=FILE] [--edb-dir=DIR] [--decide] "
                  "[--trace=FILE] [--trace-categories=LIST] "
@@ -305,7 +299,6 @@ int main(int argc, char** argv) {
   bool want_dot = false;
   bool want_stats = false;
   bool want_decide = false;
-  bool join_plans = true;
   std::string load_csv_path;
   std::string edb_dir;
   uint32_t threads = 1;
@@ -372,17 +365,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       if (progress_interval_ms == 0) progress_interval_ms = 1000;
-    } else if (std::strncmp(argv[i], "--join-plans=", 13) == 0) {
-      const char* value = argv[i] + 13;
-      if (std::strcmp(value, "on") == 0) {
-        join_plans = true;
-      } else if (std::strcmp(value, "off") == 0) {
-        join_plans = false;
-      } else {
-        std::fprintf(stderr, "--join-plans needs 'on' or 'off', got '%s'\n",
-                     value);
-        return 2;
-      }
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       threads = static_cast<uint32_t>(std::strtoul(argv[i] + 10, nullptr, 10));
       if (threads == 0) threads = 1;
@@ -469,7 +451,6 @@ int main(int argc, char** argv) {
   ChaseOptions options;
   options.track_provenance = want_dot;
   options.discovery_threads = threads;
-  options.join_plans = join_plans;
   if (deadline_ms >= 0) options.deadline = Deadline::AfterMillis(deadline_ms);
   options.cancel = g_cancel;
   options.max_memory_bytes = max_memory_bytes;
