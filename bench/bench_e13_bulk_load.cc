@@ -197,10 +197,10 @@ void RunTable(bool smoke) {
                 static_cast<unsigned long long>(workload.atoms), csv_mb_s,
                 "-");
     row(workload.name, "csv_load",
-        "\"load_ms\": " + bench_util::JsonNumber(csv_seconds * 1e3) +
+        "\"load_ms\": " + JsonNumber(csv_seconds * 1e3) +
             ", \"rows\": " + std::to_string(workload.atoms) +
             ", \"bytes\": " + std::to_string(csv_bytes) +
-            ", \"mb_per_s\": " + bench_util::JsonNumber(csv_mb_s));
+            ", \"mb_per_s\": " + JsonNumber(csv_mb_s));
 
     // ... then the chase it seeds.
     Vocabulary vocab_csv = rules_only->vocabulary;
@@ -211,8 +211,7 @@ void RunTable(bool smoke) {
                 chase_csv.total_seconds * 1e3,
                 static_cast<unsigned long long>(chase_csv.atoms), "-", "-");
     row(workload.name, "chase_edb",
-        "\"total_ms\": " +
-            bench_util::JsonNumber(chase_csv.total_seconds * 1e3) +
+        "\"total_ms\": " + JsonNumber(chase_csv.total_seconds * 1e3) +
             ", \"atoms\": " + std::to_string(chase_csv.atoms));
 
     // snapshot_write + mmap_load + the chase the mapping seeds.
@@ -224,7 +223,7 @@ void RunTable(bool smoke) {
       if (r == 0 || seconds < write_seconds) write_seconds = seconds;
     }
     row(workload.name, "snapshot_write",
-        "\"write_ms\": " + bench_util::JsonNumber(write_seconds * 1e3));
+        "\"write_ms\": " + JsonNumber(write_seconds * 1e3));
     std::printf("%-10s %-13s %-10.2f %-12s %-9s %-9s\n",
                 workload.name.c_str(), "snapshot_write",
                 write_seconds * 1e3, "-", "-", "-");
@@ -243,7 +242,7 @@ void RunTable(bool smoke) {
       if (r == 0 || seconds < mmap_seconds) mmap_seconds = seconds;
     }
     row(workload.name, "mmap_load",
-        "\"load_ms\": " + bench_util::JsonNumber(mmap_seconds * 1e3) +
+        "\"load_ms\": " + JsonNumber(mmap_seconds * 1e3) +
             ", \"bytes\": " +
             std::to_string(mapped->load_stats().input_bytes));
     std::printf("%-10s %-13s %-10.2f %-12llu %-9s %-9s\n",
@@ -290,8 +289,8 @@ void RunTable(bool smoke) {
       std::printf("%-10s bulk speedup vs parser: %.2fx\n",
                   workload.name.c_str(), speedup);
       row(workload.name, "parser_load",
-          "\"load_ms\": " + bench_util::JsonNumber(parser_seconds * 1e3) +
-              ", \"bulk_speedup\": " + bench_util::JsonNumber(speedup));
+          "\"load_ms\": " + JsonNumber(parser_seconds * 1e3) +
+              ", \"bulk_speedup\": " + JsonNumber(speedup));
 
       ChaseOptions options;
       options.max_atoms = max_atoms;
@@ -304,7 +303,7 @@ void RunTable(bool smoke) {
       identical = identical && fingerprint == chase_csv.fingerprint &&
                   run.instance().size() == chase_csv.atoms;
       row(workload.name, "chase_parser",
-          "\"total_ms\": " + bench_util::JsonNumber(total_seconds * 1e3) +
+          "\"total_ms\": " + JsonNumber(total_seconds * 1e3) +
               ", \"atoms\": " + std::to_string(run.instance().size()));
       std::printf("%-10s %-13s %-10.2f %-12u %-9s %-9s\n",
                   workload.name.c_str(), "chase_parser", total_seconds * 1e3,

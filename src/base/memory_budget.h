@@ -8,14 +8,15 @@
 namespace gchase {
 
 /// Thread-safe byte accounting for one run (or a group of runs sharing a
-/// budget, e.g. the decider cascade's sequential phases or a future
-/// multi-tenant server's per-request admission control).
+/// budget, e.g. `chase_cli --decide`'s sequential decider chases and its
+/// concurrent restricted-probe runs, or a future multi-tenant server's
+/// per-request admission control).
 ///
 /// The budget is *level-based*: growth sites Charge() the bytes they
 /// retain and Release() them when the owning structure dies, so
 /// `in_use_bytes()` tracks live capacity, not cumulative allocation. That
-/// makes a budget shareable across sequential engine runs — a probe run
-/// that releases its instance hands its headroom to the next phase — and
+/// makes a budget shareable across sequential engine runs — a run that
+/// releases its instance hands its headroom to the next one — and
 /// across concurrent ones, where the charges simply sum.
 ///
 /// Two thresholds:

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "base/governor.h"
@@ -154,9 +155,10 @@ struct ChaseOptions {
   /// checkpoints bounds the overshoot to one geometric growth step.
   uint64_t max_memory_bytes = 0;
   /// Externally owned budget to charge instead of a private one built
-  /// from max_memory_bytes (which is then ignored). Lets sequential
-  /// phases (the decider cascade) or concurrent runs share one
-  /// admission-controlled pool; the run charges its retained bytes on
+  /// from max_memory_bytes (which is then ignored). Lets sequential runs
+  /// (chase_cli's loader and chase, or its decider chases and restricted
+  /// probe) or concurrent ones share one admission-controlled pool that
+  /// a heartbeat can sample; the run charges its retained bytes on
   /// growth and releases them when its storage dies.
   std::shared_ptr<MemoryBudget> memory_budget;
   /// Wall-clock budget for the run. Checked cooperatively (round starts,
@@ -277,7 +279,7 @@ struct RoundStats {
 
 /// Observability counters for one chase execution. Collection is always
 /// on: everything here is O(rules + rounds) memory and a couple of clock
-/// reads per round. Serialized to JSON by bench_util::ChaseStatsToJson.
+/// reads per round. Serialized to JSON by ChaseStatsToJson.
 struct ChaseStats {
   std::vector<RuleStats> per_rule;
   std::vector<RoundStats> per_round;
@@ -591,6 +593,17 @@ class MetricsRegistry;
 /// across runs; peak gauges fold a process-wide maximum.
 void PublishChaseMetrics(const ChaseStats& stats,
                          MetricsRegistry* registry = nullptr);
+
+/// Formats a double with enough precision for timings ("%.6g"), trimming
+/// the locale pitfalls of std::to_string.
+std::string JsonNumber(double value);
+std::string JsonNumber(uint64_t value);
+
+/// Serializes ChaseStats to one JSON object (schema documented in
+/// docs/architecture.md §chase; `chase_cli --stats` prints it). Every
+/// number is a plain counter or a wall time in milliseconds; no escaping
+/// is needed.
+std::string ChaseStatsToJson(const ChaseStats& stats);
 
 /// Checks that `instance` satisfies every rule (every body homomorphism
 /// extends to a head homomorphism). A terminated chase must satisfy this.

@@ -23,6 +23,14 @@ double PerSecond(uint64_t delta, uint64_t elapsed_ns) {
   return static_cast<double>(delta) * 1e9 / static_cast<double>(elapsed_ns);
 }
 
+/// What a level counter gained since the last sample. The engine stores
+/// each run's own level, so a level below the last sample means a new
+/// run started (a decide call's next chase, say): everything it holds
+/// was gained since, and the difference would wrap.
+uint64_t Gained(uint64_t level, uint64_t last) {
+  return level >= last ? level - last : level;
+}
+
 std::string HumanBytes(uint64_t bytes) {
   char buf[32];
   if (bytes >= (uint64_t{1} << 30)) {
@@ -108,7 +116,7 @@ void ProgressReporter::EmitSample(uint64_t now_ns) {
     const uint64_t rounds = pc.rounds.load(std::memory_order_relaxed);
     const uint64_t atoms = pc.atoms.load(std::memory_order_relaxed);
     const uint64_t triggers = pc.triggers.load(std::memory_order_relaxed);
-    const double atoms_per_s = PerSecond(atoms - last_atoms_, tick_ns);
+    const double atoms_per_s = PerSecond(Gained(atoms, last_atoms_), tick_ns);
     last_atoms_ = atoms;
     if (ndjson_.is_open()) {
       std::snprintf(
@@ -152,7 +160,7 @@ void ProgressReporter::EmitSample(uint64_t now_ns) {
     const uint64_t run = pc.trials_run.load(std::memory_order_relaxed);
     const uint64_t failed =
         pc.trials_failed.load(std::memory_order_relaxed);
-    const double trials_per_s = PerSecond(run - last_trials_, tick_ns);
+    const double trials_per_s = PerSecond(Gained(run, last_trials_), tick_ns);
     last_trials_ = run;
     if (ndjson_.is_open()) {
       std::snprintf(

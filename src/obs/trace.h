@@ -18,8 +18,8 @@ namespace gchase {
 enum class TraceCategory : uint32_t {
   kChase = 1u << 0,    ///< Chase round lifecycle: discovery, apply, rules.
   kPool = 1u << 1,     ///< Thread-pool scheduler: jobs, chunks, steals, parks.
-  kDecider = 1u << 2,  ///< Termination analyses: critical instance, MFA,
-                       ///< exact/probe cascade, restricted-probe rounds.
+  kDecider = 1u << 2,  ///< Termination analyses: critical instance, the
+                       ///< decider chase, MFA, restricted-probe rounds.
   kStorage = 1u << 3,  ///< Instance index growth and bulk reservations.
   kFuzz = 1u << 4,     ///< Fuzz campaign: trials, oracle evaluations, shrinks.
 };

@@ -34,8 +34,7 @@ StatusOr<ClassifierReport> ClassifyTermination(
       CheckModelFaithfulAcyclicity(rules, vocabulary, mfa_options);
   report.mfa = mfa.ok() && mfa->status == MfaStatus::kAcyclic;
 
-  const bool use_syntactic =
-      report.rule_class == RuleClass::kSimpleLinear && !options.force_decider;
+  const bool use_syntactic = report.rule_class == RuleClass::kSimpleLinear;
 
   auto analyze = [&](ChaseVariant variant, double budget_fraction,
                      VariantAnalysis* analysis) -> Status {
@@ -58,10 +57,7 @@ StatusOr<ClassifierReport> ClassifyTermination(
                             options.deadline.Slice(budget_fraction)));
       decider.cancel = options.cancel;
       StatusOr<DeciderResult> result =
-          options.fallback_probe
-              ? DecideTerminationWithFallback(rules, vocabulary, variant,
-                                              decider)
-              : DecideTermination(rules, vocabulary, variant, decider);
+          DecideTermination(rules, vocabulary, variant, decider);
       if (!result.ok()) return result.status();
       analysis->verdict = result->verdict;
       analysis->method = "critical-instance decider (Thm 2/4)";
@@ -118,9 +114,7 @@ std::string ReportToString(const ClassifierReport& report) {
         analysis.decider->verdict == TerminationVerdict::kUnknown) {
       out += "                   gave up: ";
       out += StopReasonName(analysis.decider->unknown.reason);
-      out += " during ";
-      out += analysis.decider->unknown.phase;
-      out += " phase after ";
+      out += " after ";
       out += std::to_string(analysis.decider->unknown.elapsed_seconds * 1e3);
       out += " ms\n";
     }

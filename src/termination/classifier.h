@@ -21,10 +21,6 @@ struct ClassifierOptions {
   /// the classifier-level `deadline` below; its cancellation token is
   /// superseded by the classifier-level `cancel` below.
   DeciderOptions decider;
-  /// Run the decider even on simple linear sets (where the syntactic
-  /// characterizations of Theorem 1 are exact and much cheaper). Useful
-  /// for cross-validation.
-  bool force_decider = false;
   /// Wall-clock budget for the whole classification. Split across the
   /// chase-running phases: MFA gets at most a quarter, the two variant
   /// analyses split what remains (the pure graph conditions — WA, RA, JA,
@@ -33,11 +29,6 @@ struct ClassifierOptions {
   Deadline deadline;
   /// External cancellation, forwarded to every chase-running phase.
   CancellationToken cancel;
-  /// Use the exact-then-bounded-probe cascade
-  /// (DecideTerminationWithFallback) for decider-based analyses. The
-  /// probe can rescue a verdict after the exact run hits a cap or its
-  /// deadline slice. Disable for strictly single-run behavior.
-  bool fallback_probe = true;
 };
 
 /// One chase variant's analysis.
@@ -71,9 +62,11 @@ struct ClassifierReport {
 /// evaluates the syntactic acyclicity conditions, and decides oblivious
 /// and semi-oblivious all-instance termination using the cheapest exact
 /// method available:
-///  - SL: rich/weak acyclicity (exact by Theorem 1);
-///  - L, G, general: the critical-instance decider (Theorems 2 and 4;
-///    kUnknown possible only if the resource caps are exhausted).
+///  - SL: rich/weak acyclicity (exact by Theorem 1; to cross-check an SL
+///    set against the decider, call DecideTermination directly);
+///  - L, G, general: one DecideTermination call per variant (Theorems 2
+///    and 4; kUnknown possible only if the resource caps, the deadline
+///    slice or the byte budget are exhausted).
 StatusOr<ClassifierReport> ClassifyTermination(
     const RuleSet& rules, Vocabulary* vocabulary,
     const ClassifierOptions& options = {});

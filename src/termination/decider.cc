@@ -1,6 +1,5 @@
 #include "termination/decider.h"
 
-#include <algorithm>
 #include <new>
 
 #include "base/timer.h"
@@ -66,10 +65,14 @@ StatusOr<DeciderResult> DecideTermination(const RuleSet& rules,
   // exploration degrades to the same verdict a budget trip produces.
   try {
     ChaseRun run(rules, chase_options, database);
-    PumpDetector detector(run, options.pump);
+    PumpDetector detector(run);
 
-    GCHASE_TRACE_SPAN(TraceCategory::kDecider, "decider.chase",
-                      static_cast<uint64_t>(variant));
+    GCHASE_TRACE_SPAN_PERF(TraceCategory::kDecider, "decider.chase",
+                           static_cast<uint64_t>(variant),
+                           PerfPhase::kDecider);
+    static MetricHistogram* const chase_hist =
+        MetricsRegistry::Global().Histogram("decider.chase_ns");
+    LatencyTimer chase_timer(chase_hist);
     ChaseOutcome outcome = run.Execute([&](AtomId atom) {
       std::optional<PumpCertificate> certificate = detector.OnAtom(atom);
       if (certificate.has_value()) {
@@ -115,73 +118,19 @@ StatusOr<DeciderResult> DecideTermination(const RuleSet& rules,
       case ChaseOutcome::kMemoryBudgetExceeded:
         // Graceful degradation, not failure: the partial chase stats above
         // are already filled in, and the structured detail says why and
-        // where the run gave up. A memory-capped run is unknown like a
+        // when the run gave up. A memory-capped run is unknown like a
         // deadline-capped one — never divergence evidence.
         result.verdict = TerminationVerdict::kUnknown;
         result.unknown.reason = StopReasonOf(outcome);
-        result.unknown.phase = "exact";
         result.unknown.elapsed_seconds = timer.ElapsedSeconds();
         break;
     }
   } catch (const std::bad_alloc&) {
     result.verdict = TerminationVerdict::kUnknown;
     result.unknown.reason = StopReason::kMemory;
-    result.unknown.phase = "exact";
     result.unknown.elapsed_seconds = timer.ElapsedSeconds();
   }
   return result;
-}
-
-StatusOr<DeciderResult> DecideTerminationWithFallback(
-    const RuleSet& rules, Vocabulary* vocabulary, ChaseVariant variant,
-    const DeciderOptions& options) {
-  WallTimer timer;
-
-  // Phase 1 — exact: full caps, 3/4 of the remaining wall-clock budget
-  // (the probe is cheap; reserving a quarter guarantees it gets a turn).
-  DeciderOptions exact = options;
-  exact.deadline =
-      Deadline::Earlier(options.deadline, options.deadline.Slice(0.75));
-  StatusOr<DeciderResult> first = [&] {
-    GCHASE_TRACE_SPAN_PERF(TraceCategory::kDecider, "decider.exact",
-                           static_cast<uint64_t>(variant),
-                           PerfPhase::kDecider);
-    static MetricHistogram* const phase_hist =
-        MetricsRegistry::Global().Histogram("decider.phase_ns");
-    LatencyTimer phase_timer(phase_hist);
-    return DecideTermination(rules, vocabulary, variant, exact);
-  }();
-  if (!first.ok()) return first;
-  if (first->verdict != TerminationVerdict::kUnknown) return first;
-  if (first->unknown.reason == StopReason::kCancelled) return first;
-
-  // Phase 2 — bounded probe: sharply capped, rest of the budget, no fault
-  // injection. Its verdicts stay sound (termination under a cap is
-  // termination; a verified pump is a proof), it just concludes less
-  // often.
-  DeciderOptions probe = options;
-  probe.fault_injector = nullptr;
-  probe.max_atoms = std::min<uint64_t>(options.max_atoms, 1u << 14);
-  probe.max_steps = std::min<uint64_t>(options.max_steps, 1u << 16);
-  probe.max_hom_discoveries =
-      std::min<uint64_t>(options.max_hom_discoveries, 1ull << 20);
-  probe.max_join_work = std::min<uint64_t>(options.max_join_work, 1ull << 24);
-  StatusOr<DeciderResult> second = [&] {
-    GCHASE_TRACE_SPAN_PERF(TraceCategory::kDecider, "decider.probe",
-                           static_cast<uint64_t>(variant),
-                           PerfPhase::kDecider);
-    static MetricHistogram* const phase_hist =
-        MetricsRegistry::Global().Histogram("decider.phase_ns");
-    LatencyTimer phase_timer(phase_hist);
-    return DecideTermination(rules, vocabulary, variant, probe);
-  }();
-  if (!second.ok()) return second;
-  second->phase = "probe";
-  if (second->verdict == TerminationVerdict::kUnknown) {
-    second->unknown.phase = "probe";
-    second->unknown.elapsed_seconds = timer.ElapsedSeconds();
-  }
-  return second;
 }
 
 }  // namespace gchase

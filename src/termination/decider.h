@@ -24,15 +24,11 @@ enum class TerminationVerdict {
 /// Returns "terminating", "non-terminating" or "unknown".
 const char* TerminationVerdictName(TerminationVerdict verdict);
 
-/// Structured detail behind a kUnknown verdict: why the analysis gave up,
-/// in which phase, and how long it had run — enough for a caller to
-/// decide whether to retry with a bigger budget, fall back, or move on.
+/// Structured detail behind a kUnknown verdict: why the analysis gave up
+/// and how long it had run — enough for a caller to decide whether to
+/// retry with a bigger budget or move on.
 struct UnknownDetail {
   StopReason reason = StopReason::kNone;
-  /// Which analysis phase gave up: "exact" (the full-cap decider chase)
-  /// or "probe" (the bounded fallback). Empty when the verdict is not
-  /// kUnknown.
-  std::string phase;
   /// Wall-clock seconds the analysis had spent when it gave up.
   double elapsed_seconds = 0.0;
 };
@@ -61,13 +57,11 @@ struct DeciderOptions {
   /// divergence, exactly as a deadline expiry is not.
   uint64_t max_memory_bytes = 0;
   /// Externally owned budget shared across calls (see
-  /// ChaseOptions::memory_budget). DecideTerminationWithFallback forwards
-  /// it to both phases: the exact chase's storage dies before the probe
-  /// starts, so the sequential phases share the headroom rather than
-  /// doubling the footprint.
+  /// ChaseOptions::memory_budget). Each call's chase storage dies before
+  /// the call returns, so sequential calls share the headroom, and a
+  /// caller that samples the budget (chase_cli's heartbeat) sees the
+  /// decider chase's bytes.
   std::shared_ptr<MemoryBudget> memory_budget;
-  /// Pump-detection tuning.
-  PumpDetectorOptions pump;
   /// Use the paper's standard-database critical instance ({*,0,1}).
   bool standard_database = false;
   /// Constants excluded from the critical instance's domain (see
@@ -81,21 +75,15 @@ struct DeciderOptions {
   Deadline deadline;
   /// External cancellation; downgrades to kUnknown (reason kCancelled).
   CancellationToken cancel;
-  /// Test-only fault injection, forwarded to the exploratory chase (and
-  /// by DecideTerminationWithFallback to its exact phase only, so the
-  /// fallback path is deterministically testable).
+  /// Test-only fault injection, forwarded to the exploratory chase.
   FaultInjector fault_injector;
 };
 
 /// Outcome details of one decision.
 struct DeciderResult {
   TerminationVerdict verdict = TerminationVerdict::kUnknown;
-  /// Why/where the analysis gave up when verdict == kUnknown.
+  /// Why the analysis gave up when verdict == kUnknown.
   UnknownDetail unknown;
-  /// Which cascade phase produced the verdict: "exact" for a plain
-  /// DecideTermination call, "probe" when the bounded fallback of
-  /// DecideTerminationWithFallback decided.
-  std::string phase = "exact";
   /// Present when verdict == kNonTerminating.
   std::optional<PumpCertificate> certificate;
   /// Human-readable rendering of the certificate ("" unless
@@ -126,6 +114,12 @@ struct DeciderResult {
 /// DeciderSuiteTest.UndecidedCallsArePinned; see EXPERIMENTS.md,
 /// deviation 2).
 ///
+/// The chase is deterministic, so a run under smaller caps, a shorter
+/// deadline or a smaller byte budget explores a prefix of this one and
+/// never decides a call this one leaves kUnknown (pinned by
+/// DeciderTest.SmallerCapsNeverDecideMore). A caller gives one call its
+/// whole budget; there is nothing to fall back to.
+///
 /// `variant` must be kOblivious or kSemiOblivious: the reduction (and the
 /// paper's decidability results) do not apply to the restricted chase.
 /// `vocabulary` is the rule set's naming context; the critical constant
@@ -134,24 +128,6 @@ StatusOr<DeciderResult> DecideTermination(const RuleSet& rules,
                                           Vocabulary* vocabulary,
                                           ChaseVariant variant,
                                           const DeciderOptions& options = {});
-
-/// Graceful-degradation cascade: exact decider → bounded probe → unknown.
-///
-/// Phase 1 ("exact") runs DecideTermination under 3/4 of the remaining
-/// budget. If it concludes, done. If it times out — or gives up on a
-/// count cap — phase 2 ("probe") retries with sharply bounded caps and
-/// the rest of the budget: a cheap run that still yields *sound* verdicts
-/// (a chase that completes under any cap proves termination; a verified
-/// pump proves non-termination) and otherwise returns kUnknown with the
-/// reason, phase and elapsed time filled in. Cancellation skips the
-/// fallback — the user asked to stop, not to degrade.
-///
-/// Per-item downgrades make batch analyses total: one pathological rule
-/// set costs its time slice and reports kUnknown instead of hanging the
-/// batch.
-StatusOr<DeciderResult> DecideTerminationWithFallback(
-    const RuleSet& rules, Vocabulary* vocabulary, ChaseVariant variant,
-    const DeciderOptions& options = {});
 
 }  // namespace gchase
 

@@ -19,14 +19,19 @@ constexpr uint32_t kReplayNullBase = 1u << 29;
 /// signatures (tag value 3 << 30 is unused by Term).
 constexpr uint32_t kNullOccurrenceTag = 3u << 30;
 
+/// Maximum ancestors inspected per new atom (walking the guard chain).
+constexpr uint32_t kMaxChainWalk = 1u << 14;
+
+/// Maximum replay verifications attempted per new atom.
+constexpr uint32_t kMaxCandidates = 16;
+
 struct AtomHash {
   std::size_t operator()(const Atom& a) const noexcept { return HashAtom(a); }
 };
 
 }  // namespace
 
-PumpDetector::PumpDetector(const ChaseRun& run, PumpDetectorOptions options)
-    : run_(run), options_(options) {}
+PumpDetector::PumpDetector(const ChaseRun& run) : run_(run) {}
 
 PumpDetector::TypeRef PumpDetector::TypeOf(AtomId id) {
   if (id >= types_.size()) types_.resize(id + 1);
@@ -74,9 +79,9 @@ std::optional<PumpCertificate> PumpDetector::OnAtom(AtomId v) {
   uint32_t walked = 0;
   uint32_t attempts = 0;
   for (AtomId u = prov[v].parent; u != kNoAtomId; u = prov[u].parent) {
-    if (++walked > options_.max_chain_walk) break;
+    if (++walked > kMaxChainWalk) break;
     if (!SameType(TypeOf(u), v_type)) continue;
-    if (++attempts > options_.max_candidates) break;
+    if (++attempts > kMaxCandidates) break;
     ++replays_attempted_;
     PumpCertificate certificate;
     if (TryReplay(u, v, &certificate)) return certificate;

@@ -19,14 +19,6 @@ struct PumpCertificate {
   std::vector<uint32_t> segment_rules;  ///< Rules applied, oldest first.
 };
 
-/// Tuning knobs for the detector.
-struct PumpDetectorOptions {
-  /// Maximum ancestors inspected per new atom (walking the guard chain).
-  uint32_t max_chain_walk = 1u << 14;
-  /// Maximum replay verifications attempted per new atom.
-  uint32_t max_candidates = 16;
-};
-
 /// Detects provable non-termination of an (semi-)oblivious chase run on
 /// the fly.
 ///
@@ -56,7 +48,7 @@ struct PumpDetectorOptions {
 class PumpDetector {
  public:
   /// `run` must have provenance tracking enabled and outlive the detector.
-  PumpDetector(const ChaseRun& run, PumpDetectorOptions options = {});
+  explicit PumpDetector(const ChaseRun& run);
 
   /// Inspects newly derived atom `v`; returns a certificate when a pump
   /// is proven. Call from the chase observer.
@@ -85,7 +77,6 @@ class PumpDetector {
   bool TryReplay(AtomId u, AtomId v, PumpCertificate* certificate);
 
   const ChaseRun& run_;
-  PumpDetectorOptions options_;
   /// Every computed signature, back to back, and each atom's slice of it.
   std::vector<uint32_t> type_words_;
   std::vector<TypeRef> types_;

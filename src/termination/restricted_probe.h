@@ -26,14 +26,11 @@ struct RestrictedProbeOptions {
   /// Worker threads for each probe run's trigger-discovery phase (see
   /// ChaseOptions::discovery_threads; outcome-invariant).
   uint32_t discovery_threads = 1;
-  /// Byte budget per sampled run (see ChaseOptions::max_memory_bytes;
-  /// 0 = unlimited). A run stopped by it joins runs_aborted — memory
+  /// Byte budget shared by all sampled runs (see
+  /// ChaseOptions::memory_budget; null = unlimited). With an executor,
+  /// concurrent runs charge it concurrently and a trip stops whichever
+  /// runs are over. A run stopped by it joins runs_aborted — memory
   /// exhaustion, like a deadline, is evidence of nothing.
-  uint64_t max_memory_bytes = 0;
-  /// Externally owned budget shared by all sampled runs (see
-  /// ChaseOptions::memory_budget). With an executor, concurrent runs
-  /// charge it concurrently and a trip stops whichever runs are over;
-  /// those join runs_aborted too.
   std::shared_ptr<MemoryBudget> memory_budget;
   /// Executor for the probe. When set, the sampled runs fan out over the
   /// pool's workers (each run stays internally serial — a run inside a

@@ -35,15 +35,6 @@ TEST(ClassifierTest, GuardedUsesDecider) {
   EXPECT_GT(report.semi_oblivious.decider->chase_atoms, 0u);
 }
 
-TEST(ClassifierTest, ForceDeciderOverridesSyntacticPath) {
-  ParsedProgram program = MustParse("emp(X,Y) -> dept(Y).\n");
-  ClassifierOptions options;
-  options.force_decider = true;
-  ClassifierReport report = Classify(&program, options);
-  EXPECT_NE(report.oblivious.method.find("decider"), std::string::npos);
-  EXPECT_EQ(report.oblivious.verdict, TerminationVerdict::kTerminating);
-}
-
 TEST(ClassifierTest, AcyclicityFlagsAreConsistent) {
   // all_acyclicity_fail_but_terminates: every sufficient condition says
   // no, the exact verdicts say terminating.

@@ -322,7 +322,7 @@ TEST(EgdGovernorTest, PreCancelledRunLeavesDatabaseUntouched) {
 }
 
 // -------------------------------------------------------------------------
-// Decider: three-valued downgrade and the exact -> probe cascade.
+// Decider: three-valued downgrade.
 
 TEST(DeciderGovernorTest, ExpiredDeadlineDowngradesToUnknown) {
   ParsedProgram program = MustParse("p(X) -> p(Y).\n");
@@ -333,49 +333,20 @@ TEST(DeciderGovernorTest, ExpiredDeadlineDowngradesToUnknown) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->verdict, TerminationVerdict::kUnknown);
   EXPECT_EQ(result->unknown.reason, StopReason::kDeadline);
-  EXPECT_EQ(result->unknown.phase, "exact");
   EXPECT_GE(result->unknown.elapsed_seconds, 0.0);
 }
 
-TEST(DeciderGovernorTest, ProbeRescuesTerminatingSetAfterInjectedAbort) {
-  // The injector kills the exact phase instantly; the fallback probe
-  // (which never sees the injector) still proves termination.
-  ParsedProgram program = MustParse("a(X) -> b(X).\n");
-  DeciderOptions options;
-  options.fault_injector = [](FaultSite, uint64_t) {
-    return InjectedFault::kDeadline;
-  };
-  StatusOr<DeciderResult> result = DecideTerminationWithFallback(
-      program.rules, &program.vocabulary, ChaseVariant::kOblivious, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->verdict, TerminationVerdict::kTerminating);
-  EXPECT_EQ(result->phase, "probe");
-}
-
-TEST(DeciderGovernorTest, ProbeRescuesNonTerminatingSetAfterInjectedAbort) {
-  ParsedProgram program = MustParse("p(X) -> p(Y).\n");
-  DeciderOptions options;
-  options.fault_injector = [](FaultSite, uint64_t) {
-    return InjectedFault::kDeadline;
-  };
-  StatusOr<DeciderResult> result = DecideTerminationWithFallback(
-      program.rules, &program.vocabulary, ChaseVariant::kOblivious, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->verdict, TerminationVerdict::kNonTerminating);
-  EXPECT_EQ(result->phase, "probe");
-  EXPECT_TRUE(result->certificate.has_value());
-}
-
-TEST(DeciderGovernorTest, CancellationSkipsTheFallback) {
+TEST(DeciderGovernorTest, PreCancelledCallIsUnknown) {
+  // Even a set the decider settles in one round is unknown once the
+  // caller has asked to stop: cancellation wins over the verdict.
   ParsedProgram program = MustParse("a(X) -> b(X).\n");
   DeciderOptions options;
   options.cancel.RequestCancel();
-  StatusOr<DeciderResult> result = DecideTerminationWithFallback(
+  StatusOr<DeciderResult> result = DecideTermination(
       program.rules, &program.vocabulary, ChaseVariant::kOblivious, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->verdict, TerminationVerdict::kUnknown);
   EXPECT_EQ(result->unknown.reason, StopReason::kCancelled);
-  EXPECT_EQ(result->unknown.phase, "exact");
 }
 
 TEST(DeciderGovernorTest, MixedBatchCompletesWithPerItemDowngrades) {
@@ -392,14 +363,13 @@ TEST(DeciderGovernorTest, MixedBatchCompletesWithPerItemDowngrades) {
     DeciderOptions options;
     options.deadline = Deadline::AfterMillis(500);
     WallTimer timer;
-    StatusOr<DeciderResult> result = DecideTerminationWithFallback(
+    StatusOr<DeciderResult> result = DecideTermination(
         program.rules, &program.vocabulary, ChaseVariant::kSemiOblivious,
         options);
     ASSERT_TRUE(result.ok()) << text;
     EXPECT_LT(timer.ElapsedSeconds(), 2.0) << text;
     if (result->verdict == TerminationVerdict::kUnknown) {
       EXPECT_NE(result->unknown.reason, StopReason::kNone) << text;
-      EXPECT_FALSE(result->unknown.phase.empty()) << text;
     }
   }
 }
@@ -408,13 +378,14 @@ TEST(DeciderGovernorTest, MixedBatchCompletesWithPerItemDowngrades) {
 // Classifier: per-phase budget splitting.
 
 TEST(ClassifierGovernorTest, ExpiredBudgetStillYieldsACompleteReport) {
-  // Guarded, non-SL set: both variant analyses go through the decider,
-  // which downgrades to kUnknown on the expired budget. The syntactic
-  // conditions are ungoverned and still report.
-  ParsedProgram program = MustParse("e(X,Y) -> e(Y,Z).\n");
+  // Linear, not simple linear (the body repeats X): both variant
+  // analyses go through the decider, which downgrades to kUnknown on the
+  // expired budget. The syntactic conditions are ungoverned and still
+  // report.
+  ParsedProgram program = MustParse("e(X,X) -> e(X,Z).\n");
+  ASSERT_EQ(program.rules.Classify(), RuleClass::kLinear);
   ClassifierOptions options;
   options.deadline = Deadline::AfterMillis(0);
-  options.force_decider = true;
   StatusOr<ClassifierReport> report =
       ClassifyTermination(program.rules, &program.vocabulary, options);
   ASSERT_TRUE(report.ok());

@@ -421,7 +421,6 @@ TEST(DeciderMemoryTest, MemoryCapDegradesToUnknownWithMemoryReason) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->verdict, TerminationVerdict::kUnknown);
   EXPECT_EQ(result->unknown.reason, StopReason::kMemory);
-  EXPECT_EQ(result->unknown.phase, "exact");
 }
 
 }  // namespace

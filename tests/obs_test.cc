@@ -797,6 +797,35 @@ TEST(ProgressTest, FuzzModeReportsTrialTallies) {
   GlobalProgress().trials_failed.store(0, std::memory_order_relaxed);
 }
 
+TEST(ProgressTest, LevelDropCountsAsANewRun) {
+  // The engine stores each run's own atom level, so the next run of a
+  // process (a decide call's second chase) starts below the last sample.
+  // Its rate counts the new run's atoms; the difference would wrap to
+  // about 1.8e19 atoms per tick.
+  const std::string path = testing::TempDir() + "/gchase_drop_test.ndjson";
+  GlobalProgress().atoms.store(1000, std::memory_order_relaxed);
+  ProgressReporter reporter;
+  ProgressReporter::Options options;
+  options.interval_ms = 3600 * 1000;
+  options.ndjson_path = path;
+  ASSERT_TRUE(reporter.Start(options));  // samples the level 1000
+  GlobalProgress().atoms.store(10, std::memory_order_relaxed);
+  reporter.Stop();  // the final sample reads 10
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open());
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_NE(line.find("\"atoms\": 10,"), std::string::npos) << line;
+  const std::string key = "\"atoms_per_sec\": ";
+  const std::size_t at = line.find(key);
+  ASSERT_NE(at, std::string::npos) << line;
+  // 10 atoms in at least one nanosecond is at most 1e10 atoms per second.
+  EXPECT_LE(std::stod(line.substr(at + key.size())), 1e10) << line;
+  std::remove(path.c_str());
+  GlobalProgress().atoms.store(0, std::memory_order_relaxed);
+}
+
 // Heartbeat ticks happen while work runs; run under TSan in CI against
 // concurrent engine-side counter stores.
 TEST(ProgressTest, TicksConcurrentlyWithCounterUpdates) {

@@ -12,20 +12,27 @@
 //     variant:    restricted (default) | semi-oblivious | oblivious
 //     max_atoms:  resource cap on the instance size, database included
 //                 (default: the database's fact count plus 10000)
+//     Every number (max_atoms, --threads, --deadline-ms, --max-memory-mb,
+//     --progress=MS) must be a whole decimal string in range: no sign,
+//     blank, unit or fraction. Anything else exits 2 and names the flag.
 //     --dot:      emit the guarded chase forest in Graphviz DOT instead
 //                 of the atom list (pipe into `dot -Tsvg`)
 //     --stats:    emit the run's ChaseStats as JSON instead of the atom
 //                 list (per-rule counters, per-round timings, peaks)
-//     --threads=N parallel trigger discovery with N workers (default 1;
-//                 the result is bit-identical for every N)
+//     --threads=N parallel trigger discovery with N workers (default 1,
+//                 and 0 counts as 1; the result is bit-identical for
+//                 every N)
 //     --deadline-ms=N  wall-clock budget; an expired run stops at its
 //                 next cooperative checkpoint with the partial instance
 //                 and stats intact
-//     --max-memory-mb=N  byte budget for the run's retained storage; a
-//                 run that would cross it stops cleanly (exit code 6)
-//                 with the partial instance and stats intact, and the
-//                 partial result is bit-identical to a prefix of the
-//                 uncapped run
+//     --max-memory-mb=N  byte budget for the run's retained storage
+//                 (1 <= N <= 2^44 - 1); a run that would cross it stops
+//                 cleanly (exit code 6) with the partial instance and
+//                 stats intact, and the partial result is bit-identical
+//                 to a prefix of the uncapped run. One budget is shared
+//                 by everything the process runs: the loader and the
+//                 chase, or under --decide every decider chase and the
+//                 restricted probe, and the heartbeat reads that budget
 //     --load-csv=FILE  bulk-load the database from a CSV fact file
 //                 (predicate,arg1,...; see storage/bulk_load.h) instead
 //                 of the program's inline facts. The loader bypasses the
@@ -37,12 +44,17 @@
 //                 columnar EDB) when present; otherwise loads --load-csv
 //                 and writes the snapshot there for the next run
 //     --decide:   instead of chasing the input database, run the full
-//                 termination analysis on the rule set: the exact/probe
-//                 decider cascade for both the oblivious and the
-//                 semi-oblivious chase, plus the restricted-chase order
-//                 probe fanned out over a 2-worker pool — the one-flag
-//                 way to exercise the chase, decider and pool layers in
-//                 a single traceable process
+//                 termination analysis on the rule set: one
+//                 DecideTermination call (the critical-instance chase
+//                 with the pump detector) for each of the oblivious and
+//                 the semi-oblivious chase, printing the verdict, the
+//                 chase's atom count and any pump certificate, plus the
+//                 restricted-chase order probe fanned out over a
+//                 2-worker pool — the one-flag way to exercise the
+//                 chase, decider and pool layers in a single traceable
+//                 process. --deadline-ms and --max-memory-mb bound the
+//                 whole analysis; an unknown verdict is data, not an
+//                 error, and the exit code is 0 once every call ran
 //     --trace=FILE  record a Chrome-trace/Perfetto JSON of the run (load
 //                 it at ui.perfetto.dev); a flame summary of the spans
 //                 goes to stderr, and a machine-readable copy to
@@ -75,9 +87,11 @@
 // examples/rules/*.dlgp.
 
 #include <algorithm>
+#include <charconv>
+#include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -88,7 +102,6 @@
 
 #include "base/thread_pool.h"
 #include "base/timer.h"
-#include "bench/bench_util.h"
 #include "chase/chase.h"
 #include "chase/forest.h"
 #include "model/parser.h"
@@ -112,6 +125,33 @@ namespace {
 gchase::CancellationToken g_cancel;
 
 extern "C" void HandleSigint(int) { g_cancel.RequestCancel(); }
+
+// Largest --deadline-ms (and --progress interval) whose expiry time
+// still fits the steady clock: half its range, about 146 years.
+constexpr uint64_t kMaxMillis =
+    std::chrono::duration_cast<std::chrono::milliseconds>(
+        gchase::Deadline::Clock::duration::max() / 2)
+        .count();
+
+// Parses `text` as a whole decimal number in [min, max]: digits only, no
+// sign, blank, unit or fraction. Otherwise names `flag` on stderr and
+// returns false; the caller exits 2.
+bool ParseNumber(const char* flag, const char* text, uint64_t min,
+                 uint64_t max, uint64_t* value) {
+  const char* end = text + std::strlen(text);
+  uint64_t parsed = 0;
+  const auto [ptr, error] = std::from_chars(text, end, parsed);
+  if (error != std::errc() || ptr != end || parsed < min || parsed > max) {
+    std::fprintf(stderr,
+                 "%s needs a whole decimal number in [%llu, %llu], got "
+                 "'%s'\n",
+                 flag, static_cast<unsigned long long>(min),
+                 static_cast<unsigned long long>(max), text);
+    return false;
+  }
+  *value = parsed;
+  return true;
+}
 
 int ExitCodeFor(gchase::ChaseOutcome outcome) {
   switch (outcome) {
@@ -210,30 +250,30 @@ struct ObsFlusher {
   }
 };
 
-// The --decide mode: full termination analysis of the rule set. Returns
-// the process exit code (0 = every phase ran; verdicts are data, not
-// errors).
+// The --decide mode: full termination analysis of the rule set, every
+// chase charging `budget` (null = unlimited). Returns the process exit
+// code (0 = every call ran; verdicts are data, not errors).
 int RunDecideMode(gchase::ParsedProgram& parsed, int64_t deadline_ms,
-                  uint32_t threads, uint64_t max_memory_bytes) {
+                  uint32_t threads,
+                  const std::shared_ptr<gchase::MemoryBudget>& budget) {
   using namespace gchase;
   DeciderOptions options;
   options.discovery_threads = threads;
   if (deadline_ms >= 0) options.deadline = Deadline::AfterMillis(deadline_ms);
   options.cancel = g_cancel;
-  options.max_memory_bytes = max_memory_bytes;
+  options.memory_budget = budget;
 
   for (ChaseVariant variant :
        {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious}) {
-    StatusOr<DeciderResult> result = DecideTerminationWithFallback(
+    StatusOr<DeciderResult> result = DecideTermination(
         parsed.rules, &parsed.vocabulary, variant, options);
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
     }
-    std::printf("%% decide variant=%s verdict=%s phase=%s atoms=%llu\n",
+    std::printf("%% decide variant=%s verdict=%s atoms=%llu\n",
                 ChaseVariantName(variant),
                 TerminationVerdictName(result->verdict),
-                result->phase.c_str(),
                 static_cast<unsigned long long>(result->chase_atoms));
     if (!result->certificate_text.empty()) {
       std::printf("%%   %s\n", result->certificate_text.c_str());
@@ -249,7 +289,7 @@ int RunDecideMode(gchase::ParsedProgram& parsed, int64_t deadline_ms,
   probe.num_random_orders = 4;
   if (deadline_ms >= 0) probe.deadline = Deadline::AfterMillis(deadline_ms);
   probe.cancel = g_cancel;
-  probe.max_memory_bytes = max_memory_bytes;
+  probe.memory_budget = budget;
   StatusOr<RestrictedProbeResult> probed =
       ProbeRestrictedTermination(parsed.rules, &parsed.vocabulary, {}, probe);
   if (!probed.ok()) {
@@ -353,9 +393,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--progress") == 0) {
       progress_interval_ms = 1000;
     } else if (std::strncmp(argv[i], "--progress=", 11) == 0) {
-      progress_interval_ms = std::strtoull(argv[i] + 11, nullptr, 10);
-      if (progress_interval_ms == 0) {
-        std::fprintf(stderr, "--progress needs a positive interval in ms\n");
+      if (!ParseNumber("--progress", argv[i] + 11, 1, kMaxMillis,
+                       &progress_interval_ms)) {
         return 2;
       }
     } else if (std::strncmp(argv[i], "--progress-file=", 16) == 0) {
@@ -366,8 +405,12 @@ int main(int argc, char** argv) {
       }
       if (progress_interval_ms == 0) progress_interval_ms = 1000;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<uint32_t>(std::strtoul(argv[i] + 10, nullptr, 10));
-      if (threads == 0) threads = 1;
+      uint64_t requested = 0;
+      if (!ParseNumber("--threads", argv[i] + 10, 0, UINT32_MAX,
+                       &requested)) {
+        return 2;
+      }
+      threads = std::max<uint32_t>(1, static_cast<uint32_t>(requested));
       // Oversubscribing buys nothing for a CPU-bound fan-out; cap at what
       // the machine actually has (hardware_concurrency can report 0 when
       // unknown — treat that as 1).
@@ -381,18 +424,18 @@ int main(int argc, char** argv) {
         threads = cores;
       }
     } else if (std::strncmp(argv[i], "--deadline-ms=", 14) == 0) {
-      deadline_ms = std::strtoll(argv[i] + 14, nullptr, 10);
-      if (deadline_ms < 0) {
-        std::fprintf(stderr, "--deadline-ms needs a non-negative value\n");
+      uint64_t ms = 0;
+      if (!ParseNumber("--deadline-ms", argv[i] + 14, 0, kMaxMillis, &ms)) {
         return 2;
       }
+      deadline_ms = static_cast<int64_t>(ms);
     } else if (std::strncmp(argv[i], "--max-memory-mb=", 16) == 0) {
-      const uint64_t mb = std::strtoull(argv[i] + 16, nullptr, 10);
-      if (mb == 0) {
-        std::fprintf(stderr, "--max-memory-mb needs a positive value\n");
+      uint64_t mb = 0;
+      if (!ParseNumber("--max-memory-mb", argv[i] + 16, 1, UINT64_MAX >> 20,
+                       &mb)) {
         return 2;
       }
-      max_memory_bytes = mb * (uint64_t{1} << 20);
+      max_memory_bytes = mb << 20;
     } else {
       args.push_back(argv[i]);
     }
@@ -445,7 +488,7 @@ int main(int argc, char** argv) {
 
   std::signal(SIGINT, HandleSigint);
   if (want_decide) {
-    return RunDecideMode(*parsed, deadline_ms, threads, max_memory_bytes);
+    return RunDecideMode(*parsed, deadline_ms, threads, shared_budget);
   }
 
   ChaseOptions options;
@@ -453,7 +496,6 @@ int main(int argc, char** argv) {
   options.discovery_threads = threads;
   if (deadline_ms >= 0) options.deadline = Deadline::AfterMillis(deadline_ms);
   options.cancel = g_cancel;
-  options.max_memory_bytes = max_memory_bytes;
   options.memory_budget = shared_budget;
   if (argc > 2) {
     if (std::strcmp(argv[2], "oblivious") == 0) {
@@ -468,16 +510,16 @@ int main(int argc, char** argv) {
     }
   }
   std::string cap_origin = "given on the command line";
-  if (argc > 3) options.max_atoms = std::strtoull(argv[3], nullptr, 10);
+  if (argc > 3 &&
+      !ParseNumber("max_atoms", argv[3], 0, UINT64_MAX, &options.max_atoms)) {
+    return 2;
+  }
 
   // EDB-backed seeding: resolve the database source before constructing
   // the run so the loader and the chase share one memory budget (a load
   // that trips it surfaces as exit 6, like a mid-run trip).
   std::unique_ptr<EdbDatabase> edb;
   if (!load_csv_path.empty() || !edb_dir.empty()) {
-    if (max_memory_bytes > 0 && options.memory_budget == nullptr) {
-      options.memory_budget = std::make_shared<MemoryBudget>(max_memory_bytes);
-    }
     MemoryBudget* budget = options.memory_budget.get();
     const std::string snapshot_path = edb_dir + "/edb.gsnap";
     if (!edb_dir.empty()) {
@@ -569,7 +611,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%% run stopped early: %s after %.3fms\n",
                  ChaseOutcomeName(outcome), seconds * 1e3);
     std::fprintf(stderr, "%% partial stats: %s\n",
-                 gchase::bench_util::ChaseStatsToJson(run->stats()).c_str());
+                 ChaseStatsToJson(run->stats()).c_str());
   }
 
   if (want_dot) {
@@ -584,8 +626,7 @@ int main(int argc, char** argv) {
   }
 
   if (want_stats) {
-    std::printf("%s\n",
-                gchase::bench_util::ChaseStatsToJson(run->stats()).c_str());
+    std::printf("%s\n", ChaseStatsToJson(run->stats()).c_str());
     return ExitCodeFor(outcome);
   }
 
