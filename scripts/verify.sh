@@ -140,15 +140,17 @@ tier_asan() {
   # arena, so a view held across an intern is a use-after-free here. So
   # do the instance and homomorphism tests: posting runs relocate inside
   # one pool, so a PostingList held across an insert is a
-  # use-after-relocate.
+  # use-after-relocate. So do the pump-detector, forest and MFA tests:
+  # their TriggerViews borrow spans from the growable trigger log.
   cmake --preset asan &&
   cmake --build build-asan -j"$(nproc)" \
     --target governor_test egd_test chase_limits_test decider_test \
              batch_apply_test join_plan_test memory_budget_test edb_test \
              trigger_dedup_test model_test parser_test io_test \
-             instance_test homomorphism_test &&
+             instance_test homomorphism_test pump_detector_test \
+             forest_test mfa_test &&
   (cd build-asan && ctest -j"$(nproc)" \
-    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|BatchApply|JoinPlan|DiscoveryPin|BindingSegment|PlanExecutor|HeadBlock|MemoryBudget|InstanceBudget|ChaseMemory|DeciderMemory|BulkLoad|EdbSeed|EdbSnapshot|TriggerKeyTable|MergedDiscovery|SymbolTable|Parser|Printer|InstanceIo|InstanceTest|Homomorphism')
+    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|BatchApply|JoinPlan|DiscoveryPin|BindingSegment|PlanExecutor|HeadBlock|MemoryBudget|InstanceBudget|ChaseMemory|DeciderMemory|BulkLoad|EdbSeed|EdbSnapshot|TriggerKeyTable|MergedDiscovery|SymbolTable|Parser|Printer|InstanceIo|InstanceTest|Homomorphism|PumpDetector|Forest|Mfa')
 }
 
 tier_perf() {

@@ -5,29 +5,9 @@
 #include <unordered_map>
 
 #include "base/check.h"
+#include "base/scc.h"
 
 namespace gchase {
-
-namespace {
-
-/// Iterative Tarjan SCC over an adjacency structure expressed as edge
-/// indexes; returns the SCC id of each node (ids are reverse-topological).
-struct TarjanState {
-  static constexpr uint32_t kUnvisited = 0xffffffffu;
-
-  explicit TarjanState(uint32_t n)
-      : index(n, kUnvisited), lowlink(n, 0), on_stack(n, false), scc(n, 0) {}
-
-  std::vector<uint32_t> index;
-  std::vector<uint32_t> lowlink;
-  std::vector<bool> on_stack;
-  std::vector<uint32_t> scc;
-  std::vector<uint32_t> stack;
-  uint32_t next_index = 0;
-  uint32_t next_scc = 0;
-};
-
-}  // namespace
 
 DependencyGraph DependencyGraph::Build(const RuleSet& rules,
                                        const Schema& schema, bool extended) {
@@ -99,53 +79,16 @@ Position DependencyGraph::PositionOf(uint32_t node) const {
 }
 
 std::vector<uint32_t> DependencyGraph::ComputeSccIds() const {
-  TarjanState st(num_nodes_);
-  // Iterative Tarjan: frame = (node, next-adjacency-offset).
-  std::vector<std::pair<uint32_t, uint32_t>> frames;
-  for (uint32_t root = 0; root < num_nodes_; ++root) {
-    if (st.index[root] != TarjanState::kUnvisited) continue;
-    frames.emplace_back(root, 0);
-    while (!frames.empty()) {
-      auto& [node, next] = frames.back();
-      if (next == 0) {
-        st.index[node] = st.lowlink[node] = st.next_index++;
-        st.stack.push_back(node);
-        st.on_stack[node] = true;
-      }
-      bool descended = false;
-      while (next < adjacency_[node].size()) {
-        uint32_t target = edges_[adjacency_[node][next]].to;
-        ++next;
-        if (st.index[target] == TarjanState::kUnvisited) {
-          frames.emplace_back(target, 0);
-          descended = true;
-          break;
-        }
-        if (st.on_stack[target]) {
-          st.lowlink[node] = std::min(st.lowlink[node], st.index[target]);
-        }
-      }
-      if (descended) continue;
-      if (st.lowlink[node] == st.index[node]) {
-        for (;;) {
-          uint32_t w = st.stack.back();
-          st.stack.pop_back();
-          st.on_stack[w] = false;
-          st.scc[w] = st.next_scc;
-          if (w == node) break;
-        }
-        ++st.next_scc;
-      }
-      uint32_t finished = node;
-      frames.pop_back();
-      if (!frames.empty()) {
-        uint32_t parent = frames.back().first;
-        st.lowlink[parent] = std::min(st.lowlink[parent],
-                                      st.lowlink[finished]);
-      }
-    }
+  // The successors of node v, in adjacency order:
+  // targets[first[v] .. first[v + 1]).
+  std::vector<uint32_t> first(num_nodes_ + 1, 0);
+  std::vector<uint32_t> targets;
+  targets.reserve(edges_.size());
+  for (uint32_t node = 0; node < num_nodes_; ++node) {
+    for (uint32_t e : adjacency_[node]) targets.push_back(edges_[e].to);
+    first[node + 1] = static_cast<uint32_t>(targets.size());
   }
-  return st.scc;
+  return StronglyConnectedComponents(first, targets);
 }
 
 std::optional<std::vector<uint32_t>> DependencyGraph::FindDangerousCycle()

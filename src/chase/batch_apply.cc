@@ -159,23 +159,24 @@ bool ChaseRun::ApplyPendingBatch(const std::vector<PendingTrigger>& pending,
     ++applied_triggers_;
     ++stats_.per_rule[trigger.rule].applied;
 
-    TriggerRecord record;
     AtomProvenance provenance;
     if (track) {
-      record.rule = trigger.rule;
-      record.binding.assign(binding, binding + rule.num_variables());
-      record.body_atoms.reserve(rule.body().size());
-      for (const Atom& body_atom : rule.body()) {
+      // The log records the first null only: the loop below allocates the
+      // trigger's nulls contiguously from next_null_.
+      AtomId* body_atoms = trigger_log_.Append(
+          trigger.rule, binding, static_cast<uint32_t>(next_null_));
+      for (uint32_t b = 0; b < rule.body().size(); ++b) {
+        const Atom& body_atom = rule.body()[b];
         SubstituteRow(body_atom, binding, &head_scratch_);
         std::optional<AtomId> id = instance_.FindTerms(
             body_atom.predicate, head_scratch_.data(), body_atom.arity());
         GCHASE_CHECK(id.has_value());
-        record.body_atoms.push_back(*id);
+        body_atoms[b] = *id;
       }
       provenance.rule = trigger.rule;
-      provenance.parent = record.body_atoms[rule.guard_index().value_or(0)];
+      provenance.parent = body_atoms[rule.guard_index().value_or(0)];
       provenance.depth = provenance_[provenance.parent].depth + 1;
-      provenance.trigger = static_cast<uint32_t>(triggers_.size());
+      provenance.trigger = trigger_log_.size() - 1;
     }
     // Extend the homomorphism with fresh nulls, per trigger and in
     // existential-variable order, so a staged round's nulls form one
@@ -183,7 +184,6 @@ bool ChaseRun::ApplyPendingBatch(const std::vector<PendingTrigger>& pending,
     extended_scratch_.assign(binding, binding + rule.num_variables());
     for (VarId v : rule.existential_variables()) {
       extended_scratch_[v] = Term::Null(next_null_++);
-      if (track) record.created_nulls.push_back(extended_scratch_[v]);
     }
 
     // The instance is append-only, so on an eager run (empty block) this
@@ -212,7 +212,7 @@ bool ChaseRun::ApplyPendingBatch(const std::vector<PendingTrigger>& pending,
       const auto [id, inserted] = instance_.TryAddTerms(
           head.predicate, head_scratch_.data(), head.arity());
       if (track) {
-        record.produced.push_back(id);
+        trigger_log_.AddProduced(id);
         if (inserted) {
           provenance.head_index = h;
           provenance_.push_back(provenance);
@@ -224,8 +224,10 @@ bool ChaseRun::ApplyPendingBatch(const std::vector<PendingTrigger>& pending,
         break;
       }
     }
-    if (track) triggers_.push_back(std::move(record));
-    // Notify only after the trigger record is in place: observers (e.g.
+    // The growth is charged here and trips the budget at the next
+    // checkpoint, as the instance's own per-atom growth does.
+    if (track) TrackProvenanceGrowth();
+    // Notify only after the trigger record is complete: observers (e.g.
     // the pump detector) follow provenance into triggers(). An observer
     // abort is reported ahead of the atom cap.
     if (observer != nullptr) {

@@ -85,7 +85,8 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options)
     : rules_(rules),
       options_(std::move(options)),
       memory_budget_(EffectiveBudget(options_)),
-      governor_(options_.deadline, options_.cancel, memory_budget_.get()) {
+      governor_(options_.deadline, options_.cancel, memory_budget_.get()),
+      trigger_log_(rules) {
   // Attach the budget before any storage grows so the seed load is
   // charged too. The seed reserve itself is not checkpointed — a budget
   // too small for the database trips at the first round start, with the
@@ -129,6 +130,7 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options,
       (void)id;
     }
   }
+  TrackProvenanceGrowth();
   stats_.seed_seconds = load_timer.ElapsedSeconds();
   stats_.load_seconds = stats_.seed_seconds;
   stats_.edb_atoms = instance_.size();
@@ -146,6 +148,7 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options,
                           &seed);
   if (seed_status_.ok() && options_.track_provenance) {
     provenance_.assign(instance_.size(), AtomProvenance{});
+    TrackProvenanceGrowth();
   }
   vocabulary_charged_bytes_ = seed.vocabulary_bytes;
   seed_denied_ = seed.budget_denied || edb.load_stats().memory_exceeded;
@@ -157,7 +160,19 @@ ChaseRun::ChaseRun(const RuleSet& rules, ChaseOptions options,
   stats_.edb_atoms = instance_.size();
 }
 
-ChaseRun::~ChaseRun() { memory_budget_->Release(vocabulary_charged_bytes_); }
+ChaseRun::~ChaseRun() {
+  memory_budget_->Release(vocabulary_charged_bytes_ +
+                          provenance_charged_bytes_);
+}
+
+void ChaseRun::TrackProvenanceGrowth() {
+  const uint64_t now = provenance_.capacity() * sizeof(AtomProvenance) +
+                       trigger_log_.capacity_bytes();
+  if (now > provenance_charged_bytes_) {
+    memory_budget_->Charge(now - provenance_charged_bytes_);
+    provenance_charged_bytes_ = now;
+  }
+}
 
 void ChaseRun::AdmitTrigger(uint32_t rule_index, const Term* row,
                             std::vector<PendingTrigger>* pending) {

@@ -14,6 +14,7 @@
 #include "base/thread_pool.h"
 #include "chase/batch_apply.h"
 #include "chase/trigger_key_table.h"
+#include "chase/trigger_log.h"
 #include "model/tgd.h"
 #include "storage/homomorphism.h"
 #include "storage/instance.h"
@@ -135,8 +136,9 @@ struct ChaseOptions {
   /// not (see PlanExecutor), so where a round stops does not depend on
   /// the thread count.
   uint64_t max_join_work = std::numeric_limits<uint64_t>::max();
-  /// Record per-atom and per-trigger provenance (costs memory; required by
-  /// the termination deciders' pump detection). A plain run stages a
+  /// Record per-atom and per-trigger provenance (required by the
+  /// termination deciders' pump detection; charged to the memory budget
+  /// with the run's storage). A plain run stages a
   /// round's head atoms into a columnar block and bulk-dedups them into
   /// the store; a provenance or observer run inserts each trigger's head
   /// atoms at once, since it needs their ids. The apply loop is the same
@@ -145,7 +147,8 @@ struct ChaseOptions {
   bool track_provenance = false;
   /// Byte budget for the run's retained storage (term arena, atom
   /// records, dedup table, position index, posting lists, batch staging,
-  /// discovery rows).
+  /// discovery rows, and on a provenance run the provenance and the
+  /// trigger log).
   /// 0 means unlimited. Enforced two ways: bulk growth points project
   /// their exact byte cost and refuse to commit it when it would cross
   /// the limit, and every governor checkpoint trips once live usage is
@@ -223,15 +226,6 @@ struct AtomProvenance {
   AtomId parent = kNoAtomId;        ///< Image of the rule's guard body atom.
   uint32_t depth = 0;               ///< 1 + parent depth (0 for DB atoms).
   uint32_t trigger = kNoTriggerId;  ///< Index into triggers().
-};
-
-/// One applied trigger, recorded when track_provenance is on.
-struct TriggerRecord {
-  uint32_t rule = 0;
-  std::vector<AtomId> body_atoms;  ///< Images of the body conjuncts, in order.
-  Binding binding;                 ///< The full body homomorphism.
-  std::vector<Term> created_nulls; ///< Fresh nulls, in existential-var order.
-  std::vector<AtomId> produced;    ///< Ids of the head-atom images.
 };
 
 /// Labeled-null ids the engine may allocate: [0, kMaxLabeledNulls). The id
@@ -351,8 +345,8 @@ class ChaseRun {
   ChaseRun(const RuleSet& rules, ChaseOptions options, const EdbDatabase& edb,
            Vocabulary* vocabulary);
 
-  /// Releases the vocabulary charge; the instance and staging buffers
-  /// release their own.
+  /// Releases the vocabulary and provenance charges; the instance and
+  /// staging buffers release their own.
   ~ChaseRun();
   ChaseRun(const ChaseRun&) = delete;
   ChaseRun& operator=(const ChaseRun&) = delete;
@@ -378,7 +372,8 @@ class ChaseRun {
   const MemoryBudget& memory_budget() const { return *memory_budget_; }
   const RuleSet& rules() const { return rules_; }
   const std::vector<AtomProvenance>& provenance() const { return provenance_; }
-  const std::vector<TriggerRecord>& triggers() const { return triggers_; }
+  /// The applied triggers, when track_provenance is on (else empty).
+  const TriggerLog& triggers() const { return trigger_log_; }
 
   uint64_t applied_triggers() const { return applied_triggers_; }
   uint64_t rounds() const { return rounds_; }
@@ -502,6 +497,10 @@ class ChaseRun {
   /// Folds current index sizes into the stats peaks.
   void UpdateStatsPeaks();
 
+  /// Charges the growth of provenance_'s and trigger_log_'s capacity
+  /// since the last call to the budget (released by the destructor).
+  void TrackProvenanceGrowth();
+
   const RuleSet& rules_;
   ChaseOptions options_;
   /// The effective byte budget (see memory_budget()). Declared before
@@ -514,7 +513,10 @@ class ChaseRun {
   RunGovernor governor_;
   Instance instance_;
   std::vector<AtomProvenance> provenance_;
-  std::vector<TriggerRecord> triggers_;
+  TriggerLog trigger_log_;
+  /// Bytes of provenance_ and trigger_log_ capacity charged to
+  /// memory_budget_; released by the destructor.
+  uint64_t provenance_charged_bytes_ = 0;
 
   /// Applied trigger keys, one table per rule (see applied_keys()).
   std::vector<TriggerKeyTable> applied_keys_;

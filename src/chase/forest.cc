@@ -42,7 +42,9 @@ ForestStats ChaseForest::Stats() const {
 
   // Guardedness invariant over the recorded triggers.
   const RuleSet& rules = run_.rules();
-  for (const TriggerRecord& trigger : run_.triggers()) {
+  const TriggerLog& triggers = run_.triggers();
+  for (uint32_t i = 0; i < triggers.size(); ++i) {
+    const TriggerView trigger = triggers[i];
     const Tgd& rule = rules.rule(trigger.rule);
     const uint32_t guard = rule.guard_index().value_or(0);
     std::unordered_set<uint32_t> guard_terms;

@@ -1,7 +1,9 @@
 #include "fuzz/oracles.h"
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -42,6 +44,20 @@ ChaseOptions BoundedOptions(ChaseVariant variant,
   chase_options.deadline = options.deadline;
   chase_options.cancel = options.cancel;
   return chase_options;
+}
+
+/// The process's discovery pool of `threads` workers, built on first use
+/// and never destroyed. Every oracle run that fans out passes one as its
+/// executor: a run given none starts a private pool and joins it at the
+/// end, thousands of times per campaign.
+std::shared_ptr<ThreadPool> SharedPool(uint32_t threads) {
+  static std::mutex* const mutex = new std::mutex();
+  static auto* const pools =
+      new std::map<uint32_t, std::shared_ptr<ThreadPool>>();
+  std::lock_guard<std::mutex> lock(*mutex);
+  std::shared_ptr<ThreadPool>& pool = (*pools)[threads];
+  if (pool == nullptr) pool = std::make_shared<ThreadPool>(threads);
+  return pool;
 }
 
 DeciderOptions BoundedDeciderOptions(const OracleOptions& options) {
@@ -265,6 +281,7 @@ std::string ThreadTwinDiffAllRegimes(
     for (uint32_t threads : thread_counts) {
       ChaseOptions parallel = options;
       parallel.discovery_threads = threads;
+      parallel.executor = SharedPool(threads);
       parallel.parallel_cutover_work = 0;
       const ChaseResult run =
           RunChase(fuzz_case.rules, parallel, fuzz_case.database);
@@ -764,7 +781,10 @@ OracleResult CheckMemoryCapTwin(const FuzzCase& fuzz_case,
         ChaseOptions capped = base_options;
         capped.track_provenance = engine.track_provenance;
         capped.discovery_threads = engine.threads;
-        if (engine.threads > 1) capped.parallel_cutover_work = 0;
+        if (engine.threads > 1) {
+          capped.executor = SharedPool(engine.threads);
+          capped.parallel_cutover_work = 0;
+        }
         capped.fault_injector = [fired, target](FaultSite site,
                                                 uint64_t ordinal) {
           if (site == FaultSite::kAllocation && ordinal == target) {

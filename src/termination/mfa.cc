@@ -81,21 +81,19 @@ StatusOr<MfaResult> CheckModelFaithfulAcyclicity(const RuleSet& rules,
 
   ChaseOutcome outcome = run.Execute([&](AtomId) {
     // Process any triggers not yet folded into the ancestry structure.
-    const std::vector<TriggerRecord>& triggers = run.triggers();
+    const TriggerLog& triggers = run.triggers();
     for (; next_trigger < triggers.size(); ++next_trigger) {
-      const TriggerRecord& trigger = triggers[next_trigger];
+      const TriggerView trigger = triggers[next_trigger];
       const Tgd& rule = rules.rule(trigger.rule);
       // Skolem arguments: nulls among the frontier images.
       std::vector<uint32_t> argument_nulls;
       for (VarId v : rule.frontier()) {
-        Term image = trigger.binding[v];
+        Term image = trigger.binding(v);
         if (image.IsNull()) argument_nulls.push_back(image.index());
       }
-      const std::vector<VarId>& existentials = rule.existential_variables();
-      for (std::size_t i = 0; i < existentials.size(); ++i) {
-        const uint32_t tag =
-            tag_offset[trigger.rule] + static_cast<uint32_t>(i);
-        if (tracker.AddNull(trigger.created_nulls[i].index(), tag,
+      for (uint32_t i = 0; i < trigger.created_nulls; ++i) {
+        const uint32_t tag = tag_offset[trigger.rule] + i;
+        if (tracker.AddNull(trigger.created_null(i).index(), tag,
                             argument_nulls)) {
           cyclic = true;
           return false;  // cyclic term: MFA rejects, stop chasing

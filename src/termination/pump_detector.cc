@@ -1,11 +1,13 @@
 #include "termination/pump_detector.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "base/hash.h"
+#include "base/scc.h"
 
 namespace gchase {
 
@@ -29,9 +31,53 @@ struct AtomHash {
   std::size_t operator()(const Atom& a) const noexcept { return HashAtom(a); }
 };
 
+/// Marks the predicates that lie on a cycle of the guard-predicate graph,
+/// which has an edge from each rule's parent predicate — that of
+/// body[guard_index().value_or(0)], the atom provenance records as the
+/// parent — to each of its head predicates: those in a strongly connected
+/// component of two or more, and those with a self-loop. Flat arrays
+/// throughout: O(rules + head atoms + predicates).
+std::vector<bool> PredicatesOnGuardCycles(const RuleSet& rules) {
+  uint32_t n = 0;
+  for (const Tgd& rule : rules.rules()) {
+    for (const Atom& atom : rule.body()) n = std::max(n, atom.predicate + 1);
+    for (const Atom& atom : rule.head()) n = std::max(n, atom.predicate + 1);
+  }
+  const auto parent_of = [](const Tgd& rule) {
+    return rule.body()[rule.guard_index().value_or(0)].predicate;
+  };
+  // Edges of predicate p: targets[first[p] .. first[p + 1]).
+  std::vector<uint32_t> first(n + 1, 0);
+  for (const Tgd& rule : rules.rules()) {
+    first[parent_of(rule) + 1] += static_cast<uint32_t>(rule.head().size());
+  }
+  for (uint32_t p = 0; p < n; ++p) first[p + 1] += first[p];
+  std::vector<uint32_t> targets(first[n]);
+  std::vector<uint32_t> next_edge(first.begin(), first.end() - 1);
+  for (const Tgd& rule : rules.rules()) {
+    for (const Atom& head : rule.head()) {
+      targets[next_edge[parent_of(rule)]++] = head.predicate;
+    }
+  }
+
+  const std::vector<uint32_t> component =
+      StronglyConnectedComponents(first, targets);
+  std::vector<uint32_t> component_size(n, 0);
+  for (uint32_t p = 0; p < n; ++p) ++component_size[component[p]];
+  std::vector<bool> on_cycle(n, false);
+  for (uint32_t p = 0; p < n; ++p) {
+    on_cycle[p] = component_size[component[p]] > 1;
+    for (uint32_t e = first[p]; e < first[p + 1]; ++e) {
+      if (targets[e] == p) on_cycle[p] = true;  // a self-loop
+    }
+  }
+  return on_cycle;
+}
+
 }  // namespace
 
-PumpDetector::PumpDetector(const ChaseRun& run) : run_(run) {}
+PumpDetector::PumpDetector(const ChaseRun& run)
+    : run_(run), on_guard_cycle_(PredicatesOnGuardCycles(run.rules())) {}
 
 PumpDetector::TypeRef PumpDetector::TypeOf(AtomId id) {
   if (id >= types_.size()) types_.resize(id + 1);
@@ -75,6 +121,13 @@ std::optional<PumpCertificate> PumpDetector::OnAtom(AtomId v) {
   const std::vector<AtomProvenance>& prov = run_.provenance();
   GCHASE_CHECK_MSG(!prov.empty() || run_.instance().empty(),
                    "PumpDetector requires provenance tracking");
+  // Each guard-chain step follows an edge of the guard-predicate graph,
+  // so no ancestor of an atom whose predicate lies on no cycle of it
+  // shares that predicate, let alone the atom's type.
+  const PredicateId predicate = run_.instance().atom(v).predicate;
+  if (predicate >= on_guard_cycle_.size() || !on_guard_cycle_[predicate]) {
+    return std::nullopt;
+  }
   const TypeRef v_type = TypeOf(v);
   uint32_t walked = 0;
   uint32_t attempts = 0;
@@ -120,7 +173,7 @@ bool PumpDetector::TryReplay(AtomId u_id, AtomId v_id,
   }
   std::reverse(segment.begin(), segment.end());  // chronological
 
-  const std::vector<TriggerRecord>& triggers = run_.triggers();
+  const TriggerLog& triggers = run_.triggers();
 
   // Atoms produced by the segment (their phi-images are reproduced by
   // each replay), and the "shift generation": nulls created during the
@@ -128,28 +181,20 @@ bool PumpDetector::TryReplay(AtomId u_id, AtomId v_id,
   std::unordered_set<Atom, AtomHash> segment_produced;
   std::unordered_set<uint32_t> generation;
   for (uint32_t t : segment) {
-    for (AtomId id : triggers[t].produced) {
+    const TriggerView trigger = triggers[t];
+    for (AtomId id : trigger.produced) {
       segment_produced.insert(instance.atom(id).ToAtom());
     }
-    for (Term n : triggers[t].created_nulls) generation.insert(n.raw());
+    for (uint32_t i = 0; i < trigger.created_nulls; ++i) {
+      generation.insert(trigger.created_null(i).raw());
+    }
   }
 
   // --- Symbolic replay. -------------------------------------------------
+  // phi maps packed terms to packed terms of the same kind.
   auto apply_phi = [&phi](Term t) {
     auto it = phi.find(t.raw());
-    if (it == phi.end()) return t;
-    // Reconstruct a Term from its packed representation (phi maps nulls
-    // to nulls and constants to constants, so the tag is preserved).
-    uint32_t raw = it->second;
-    uint32_t index = raw & ((1u << 30) - 1);
-    switch (raw >> 30) {
-      case 0:
-        return Term::Constant(index);
-      case 1:
-        return Term::Variable(index);
-      default:
-        return Term::Null(index);
-    }
+    return it == phi.end() ? t : std::bit_cast<Term>(it->second);
   };
 
   std::unordered_set<Atom, AtomHash> overlay;
@@ -158,14 +203,17 @@ bool PumpDetector::TryReplay(AtomId u_id, AtomId v_id,
   GCHASE_CHECK(run_.nulls_created() < kReplayNullBase);
 
   const RuleSet& rules = run_.rules();
+  Binding recorded;
   for (uint32_t t_index : segment) {
-    const TriggerRecord& trigger = triggers[t_index];
+    const TriggerView trigger = triggers[t_index];
     const Tgd& rule = rules.rule(trigger.rule);
 
-    // Image of the body homomorphism.
-    Binding image_binding(trigger.binding.size(), UnboundTerm());
+    // The recorded body homomorphism and its image.
+    recorded.assign(rule.num_variables(), UnboundTerm());
+    Binding image_binding(rule.num_variables(), UnboundTerm());
     for (VarId var : rule.universal_variables()) {
-      image_binding[var] = apply_phi(trigger.binding[var]);
+      recorded[var] = trigger.binding(var);
+      image_binding[var] = apply_phi(recorded[var]);
     }
 
     // Every body atom must be phi-stable, segment-produced, or produced
@@ -186,10 +234,13 @@ bool PumpDetector::TryReplay(AtomId u_id, AtomId v_id,
 
     const TriggerKeyTable& applied = run_.applied_keys(trigger.rule);
     const std::vector<VarId>& key_vars = applied.key_variables();
-    if (applied.SameKey(image_binding.data(), trigger.binding.data())) {
+    if (applied.SameKey(image_binding.data(), recorded.data())) {
       // Verbatim no-op: outputs already exist; created nulls map to
       // themselves.
-      for (Term n : trigger.created_nulls) phi.emplace(n.raw(), n.raw());
+      for (uint32_t i = 0; i < trigger.created_nulls; ++i) {
+        const uint32_t n = trigger.created_null(i).raw();
+        phi.emplace(n, n);
+      }
       continue;
     }
 
@@ -211,10 +262,10 @@ bool PumpDetector::TryReplay(AtomId u_id, AtomId v_id,
     // Extend phi with fresh nulls for the trigger's created nulls.
     Binding extended = image_binding;
     const std::vector<VarId>& existentials = rule.existential_variables();
-    GCHASE_CHECK(existentials.size() == trigger.created_nulls.size());
-    for (std::size_t i = 0; i < existentials.size(); ++i) {
+    GCHASE_CHECK(existentials.size() == trigger.created_nulls);
+    for (uint32_t i = 0; i < trigger.created_nulls; ++i) {
       Term fresh = Term::Null(fresh_counter++);
-      phi[trigger.created_nulls[i].raw()] = fresh.raw();
+      phi[trigger.created_null(i).raw()] = fresh.raw();
       generation.insert(fresh.raw());
       extended[existentials[i]] = fresh;
     }

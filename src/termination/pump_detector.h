@@ -24,7 +24,9 @@ struct PumpCertificate {
 ///
 /// After each derived atom v, the detector walks v's guard-ancestor chain
 /// looking for an ancestor u of the same *type* (same predicate, same
-/// argument-equality pattern, same constants). The positional map
+/// argument-equality pattern, same constants). It skips the walk when
+/// v's predicate lies on no cycle of the rules' guard-predicate graph,
+/// where no ancestor can share it (docs/pump_soundness.md). The positional map
 /// phi: terms(u) -> terms(v) then suggests that the derivation segment
 /// u ~> v can be replayed from v. The replay is *verified* symbolically:
 ///
@@ -77,6 +79,9 @@ class PumpDetector {
   bool TryReplay(AtomId u, AtomId v, PumpCertificate* certificate);
 
   const ChaseRun& run_;
+  /// Per predicate: whether it lies on a cycle of the guard-predicate
+  /// graph. OnAtom skips atoms whose predicate does not (see the .cc).
+  std::vector<bool> on_guard_cycle_;
   /// Every computed signature, back to back, and each atom's slice of it.
   std::vector<uint32_t> type_words_;
   std::vector<TypeRef> types_;

@@ -50,10 +50,19 @@ ParsedProgram MakeClosureInstance(uint32_t chain_length) {
   return MustParse(text);
 }
 
+/// An owning copy of a TriggerView, which borrows from its run.
+struct CapturedTrigger {
+  uint32_t rule = 0;
+  std::vector<AtomId> body_atoms;
+  Binding binding;
+  std::vector<Term> created_nulls;
+  std::vector<AtomId> produced;
+};
+
 struct CapturedRun {
   ChaseOutcome outcome;
   std::vector<Atom> atoms;
-  std::vector<TriggerRecord> triggers;
+  std::vector<CapturedTrigger> triggers;
 };
 
 CapturedRun Capture(const ParsedProgram& program, ChaseVariant variant,
@@ -77,7 +86,19 @@ CapturedRun Capture(const ParsedProgram& program, ChaseVariant variant,
   CapturedRun captured;
   captured.outcome = run.Execute();
   captured.atoms = run.instance().MaterializeAtoms();
-  captured.triggers = run.triggers();
+  for (uint32_t t = 0; t < run.triggers().size(); ++t) {
+    const TriggerView view = run.triggers()[t];
+    CapturedTrigger& trigger = captured.triggers.emplace_back();
+    trigger.rule = view.rule;
+    trigger.body_atoms.assign(view.body_atoms.begin(), view.body_atoms.end());
+    for (VarId v = 0; v < view.binding_words.size(); ++v) {
+      trigger.binding.push_back(view.binding(v));
+    }
+    for (uint32_t i = 0; i < view.created_nulls; ++i) {
+      trigger.created_nulls.push_back(view.created_null(i));
+    }
+    trigger.produced.assign(view.produced.begin(), view.produced.end());
+  }
   return captured;
 }
 
@@ -91,8 +112,8 @@ void ExpectBitIdentical(const CapturedRun& serial, const CapturedRun& parallel,
   }
   ASSERT_EQ(serial.triggers.size(), parallel.triggers.size()) << label;
   for (std::size_t i = 0; i < serial.triggers.size(); ++i) {
-    const TriggerRecord& a = serial.triggers[i];
-    const TriggerRecord& b = parallel.triggers[i];
+    const CapturedTrigger& a = serial.triggers[i];
+    const CapturedTrigger& b = parallel.triggers[i];
     ASSERT_EQ(a.rule, b.rule) << label << " trigger " << i;
     ASSERT_EQ(a.binding, b.binding) << label << " trigger " << i;
     ASSERT_EQ(a.body_atoms, b.body_atoms) << label << " trigger " << i;
@@ -305,7 +326,7 @@ TEST(RandomOrderSeedingTest, AdjacentSeedsDivergeInTheEngine) {
                               TriggerOrder::kRandom, seed);
     std::vector<Binding> bindings;
     bindings.reserve(run.triggers.size());
-    for (const TriggerRecord& record : run.triggers) {
+    for (const CapturedTrigger& record : run.triggers) {
       bindings.push_back(record.binding);
     }
     return bindings;

@@ -177,7 +177,10 @@ TEST(ChaseTest, ObserverSeesTheAtomThatCrossesTheAtomCap) {
     EXPECT_EQ(capped.instance().size(), 3u) << ChaseVariantName(variant);
     EXPECT_EQ(capped.applied_triggers(), 1u) << ChaseVariantName(variant);
     ASSERT_EQ(capped.triggers().size(), 1u) << ChaseVariantName(variant);
-    EXPECT_EQ(capped.triggers().back().produced, std::vector<AtomId>{2})
+    const TriggerView trigger = capped.triggers()[0];
+    EXPECT_EQ(std::vector<AtomId>(trigger.produced.begin(),
+                                  trigger.produced.end()),
+              std::vector<AtomId>{2})
         << ChaseVariantName(variant);
     EXPECT_EQ(seen, std::vector<AtomId>{2}) << ChaseVariantName(variant);
 

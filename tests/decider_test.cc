@@ -1,5 +1,6 @@
 #include "termination/decider.h"
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -270,6 +271,103 @@ TEST(DeciderTest, SmallerCapsNeverDecideMore) {
   // test above): the larger caps leave these open, so the check above
   // covers the direction the deleted fallback probe relied on.
   EXPECT_EQ(undecided, 3u);
+}
+
+// Pins what the decider's non-terminating verdicts say, not only that
+// they are reached: per group of calls, how many are non-terminating,
+// how many pump replays the detector attempted in all, and an FNV-1a
+// hash over every certificate's ancestor, descendant and segment rules,
+// in call order. The groups are decide_suite's random sets at seeds 1
+// and 29 under its random-set caps (drawn as above) and the curated
+// library under the default caps. A change to the detector, to the
+// provenance it reads or to the chase's order cannot move a certificate
+// or a replay unnoticed.
+TEST(DeciderSuiteTest, ReplaysAndCertificatesArePinned) {
+  const std::string expected =
+      "seed 1: 125 non-terminating, 1260 replays, e4149a12d306aded\n"
+      "seed 29: 129 non-terminating, 7444 replays, 79716b610c71119a\n"
+      "curated: 22 non-terminating, 30 replays, 3875653fdf22e709\n";
+
+  struct Group {
+    uint32_t nonterminating = 0;
+    uint64_t replays = 0;
+    uint64_t hash = 14695981039346656037ull;
+    void Add(const DeciderResult& result) {
+      replays += result.replays_attempted;
+      if (result.verdict != TerminationVerdict::kNonTerminating) return;
+      ++nonterminating;
+      const PumpCertificate& certificate = *result.certificate;
+      std::vector<uint32_t> words = {
+          certificate.ancestor, certificate.descendant,
+          static_cast<uint32_t>(certificate.segment_rules.size())};
+      words.insert(words.end(), certificate.segment_rules.begin(),
+                   certificate.segment_rules.end());
+      for (uint32_t word : words) hash = (hash ^ word) * 1099511628211ull;
+    }
+    std::string Line(const std::string& name) const {
+      char hex[17];
+      std::snprintf(hex, sizeof(hex), "%016llx",
+                    static_cast<unsigned long long>(hash));
+      return name + ": " + std::to_string(nonterminating) +
+             " non-terminating, " + std::to_string(replays) + " replays, " +
+             hex + "\n";
+    }
+  };
+  const auto decide_both = [](const RuleSet& rules,
+                              const Vocabulary& vocabulary,
+                              const DeciderOptions& options, Group* group) {
+    for (ChaseVariant variant :
+         {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious}) {
+      Vocabulary copy = vocabulary;
+      StatusOr<DeciderResult> result =
+          DecideTermination(rules, &copy, variant, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      group->Add(*result);
+    }
+  };
+
+  DeciderOptions random_caps;
+  random_caps.max_atoms = 2000;
+  random_caps.max_steps = 20000;
+  random_caps.max_hom_discoveries = 10000;
+  random_caps.max_join_work = 100000;
+  const struct {
+    RuleClass rule_class;
+    uint32_t max_arity;
+  } kClasses[3] = {{RuleClass::kSimpleLinear, 2},
+                   {RuleClass::kLinear, 2},
+                   {RuleClass::kGuarded, 3}};
+  std::string pinned;
+  for (uint64_t seed : {1, 29}) {
+    Group group;
+    for (uint32_t c = 0; c < 3; ++c) {
+      for (uint32_t i = 0; i < 40; ++i) {
+        Rng rng = TrialRng(seed * 3 + c, i);
+        RandomRuleSetOptions generator;
+        generator.rule_class = kClasses[c].rule_class;
+        generator.num_predicates = 8;
+        generator.num_rules = 8;
+        generator.min_arity = 1;
+        generator.max_arity = kClasses[c].max_arity;
+        generator.existential_probability = 0.2 + 0.5 * rng.NextDouble();
+        if (kClasses[c].rule_class != RuleClass::kGuarded) {
+          generator.repeat_variable_probability = 0.4;
+        }
+        RandomProgram program = GenerateRandomRuleSet(&rng, generator);
+        decide_both(program.rules, program.vocabulary, random_caps, &group);
+      }
+    }
+    pinned += group.Line("seed " + std::to_string(seed));
+  }
+  Group curated;
+  for (const NamedWorkload& workload : CuratedWorkloads()) {
+    StatusOr<ParsedProgram> program = LoadWorkload(workload);
+    ASSERT_TRUE(program.ok()) << workload.name;
+    decide_both(program->rules, program->vocabulary, DeciderOptions(),
+                &curated);
+  }
+  pinned += curated.Line("curated");
+  EXPECT_EQ(pinned, expected);
 }
 
 TEST(ClassifierTest, Theorem1SyntacticMatchesDecider) {

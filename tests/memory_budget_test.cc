@@ -17,6 +17,7 @@
 #include "gtest/gtest.h"
 #include "model/atom.h"
 #include "storage/instance.h"
+#include "termination/critical_instance.h"
 #include "termination/decider.h"
 #include "tests/test_util.h"
 
@@ -421,6 +422,50 @@ TEST(DeciderMemoryTest, MemoryCapDegradesToUnknownWithMemoryReason) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->verdict, TerminationVerdict::kUnknown);
   EXPECT_EQ(result->unknown.reason, StopReason::kMemory);
+}
+
+TEST(DeciderMemoryTest, ProvenanceAndTriggerLogAreCharged) {
+  // binary_tree(6) terminates. Its critical-instance chase with an
+  // observer and no provenance inserts each head atom at once, as the
+  // decider's does, and fits a budget of its own peak. The decider's
+  // chase adds the provenance and the trigger log on top of the same
+  // storage, so under that budget it stops on memory.
+  std::string text;
+  for (int i = 0; i < 6; ++i) {
+    text += "n" + std::to_string(i) + "(X) -> c(X,Y), c(X,Z), n" +
+            std::to_string(i + 1) + "(Y), n" + std::to_string(i + 1) +
+            "(Z).\n";
+  }
+  ParsedProgram program = MustParse(text);
+  Vocabulary vocabulary = program.vocabulary;
+  const std::vector<Atom> critical =
+      BuildCriticalInstance(program.rules, &vocabulary);
+  const ChaseRun::AtomObserver eager = [](AtomId) { return true; };
+  ChaseOptions options;
+  options.variant = ChaseVariant::kOblivious;
+  ChaseRun unbudgeted(program.rules, options, critical);
+  ASSERT_EQ(unbudgeted.Execute(eager), ChaseOutcome::kTerminated);
+  const uint64_t storage_peak = unbudgeted.stats().peak_memory_bytes;
+  ASSERT_GT(storage_peak, 0u);
+
+  options.max_memory_bytes = storage_peak;
+  ChaseRun storage_alone(program.rules, options, critical);
+  EXPECT_EQ(storage_alone.Execute(eager), ChaseOutcome::kTerminated);
+
+  DeciderOptions decider;
+  decider.max_memory_bytes = storage_peak;
+  StatusOr<DeciderResult> result = DecideTermination(
+      program.rules, &program.vocabulary, ChaseVariant::kOblivious, decider);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->verdict, TerminationVerdict::kUnknown);
+  EXPECT_EQ(result->unknown.reason, StopReason::kMemory);
+
+  decider.max_memory_bytes = 0;
+  result = DecideTermination(program.rules, &program.vocabulary,
+                             ChaseVariant::kOblivious, decider);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->verdict, TerminationVerdict::kTerminating);
+  EXPECT_GT(result->chase_stats.peak_memory_bytes, storage_peak);
 }
 
 }  // namespace

@@ -86,6 +86,45 @@ TEST(PumpDetectorTest, SideAtomsBlockUnsoundPumps) {
   EXPECT_TRUE(Detect(&pumped, ChaseVariant::kSemiOblivious).has_value());
 }
 
+TEST(PumpDetectorTest, FindsPumpsWhereTheGuardGraphIsCyclicInPart) {
+  // Guard-predicate graph: start -> p, p -> q, p -> mark, q -> p,
+  // q -> out. Only p and q lie on a cycle, so the detector skips every
+  // start, mark and out atom, and must still find the pump through p and
+  // q. Rule 1's guard is its second body atom: a graph drawn from the
+  // first (mark -> q) would leave p and q on no cycle and miss the pump.
+  ParsedProgram program = MustParse(
+      "start(X) -> p(X,Y).\n"
+      "mark(Y), p(X,Y) -> q(Y,Z), mark(Z).\n"
+      "q(X,Y) -> p(X,Y), out(Y).\n");
+  ASSERT_EQ(program.rules.rule(1).guard_index(), 1u);
+  const PredicateId p = *program.vocabulary.schema.Find("p");
+  const PredicateId q = *program.vocabulary.schema.Find("q");
+  for (ChaseVariant variant :
+       {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious}) {
+    ChaseOptions options;
+    options.variant = variant;
+    options.max_atoms = 5000;
+    options.track_provenance = true;
+    std::vector<Atom> database =
+        BuildCriticalInstance(program.rules, &program.vocabulary);
+    ChaseRun run(program.rules, options, database);
+    PumpDetector detector(run);
+    std::optional<PumpCertificate> certificate;
+    EXPECT_EQ(run.Execute([&](AtomId atom) {
+                certificate = detector.OnAtom(atom);
+                return !certificate.has_value();
+              }),
+              ChaseOutcome::kAborted)
+        << ChaseVariantName(variant);
+    ASSERT_TRUE(certificate.has_value()) << ChaseVariantName(variant);
+    const PredicateId pumped =
+        run.instance().atom(certificate->descendant).predicate;
+    EXPECT_TRUE(pumped == p || pumped == q) << ChaseVariantName(variant);
+    EXPECT_EQ(run.instance().atom(certificate->ancestor).predicate, pumped)
+        << ChaseVariantName(variant);
+  }
+}
+
 TEST(PumpDetectorTest, CountsReplayAttempts) {
   ParsedProgram program = MustParse("p(X,Y) -> p(Y,Z).\n");
   ChaseOptions options;

@@ -182,11 +182,16 @@ std::string CapMessage(gchase::ChaseOutcome outcome,
   switch (outcome) {
     case gchase::ChaseOutcome::kResourceLimit:
       if (run.instance().size() > options.max_atoms) {
+        // Twice the atoms reached, which exceed the cap (twice a cap of 0
+        // is 0), saturating instead of wrapping.
+        const uint64_t reached = run.instance().size();
+        const unsigned long long suggestion =
+            reached > UINT64_MAX / 2 ? UINT64_MAX : reached * 2;
         const unsigned long long cap = options.max_atoms;
         std::snprintf(text, sizeof(text),
                       "max_atoms=%llu (%s); pass a larger max_atoms as the "
                       "argument after the variant, e.g. %llu",
-                      cap, cap_origin.c_str(), cap * 2);
+                      cap, cap_origin.c_str(), suggestion);
       } else {
         const unsigned long long nulls = gchase::kMaxLabeledNulls;
         std::snprintf(text, sizeof(text),
