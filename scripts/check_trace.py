@@ -4,6 +4,7 @@
 Usage:
     scripts/check_trace.py TRACE.json [--require-categories=a,b,c]
                            [--summary=TRACE.json.summary.json]
+                           [--max-dropped=N]
 
 Checks, in order:
   1. the file parses as JSON and has a non-empty "traceEvents" array;
@@ -20,7 +21,11 @@ Checks, in order:
      validated: top-level dropped_events/threads/spans keys, every span
      row carries name/count/total_ns/max_ns with count >= 1 and
      max_ns <= total_ns, rows sorted by total_ns descending, and every
-     sidecar span name actually appears in the trace.
+     sidecar span name actually appears in the trace;
+  6. with --max-dropped, the trace's otherData.dropped_events (events the
+     per-thread rings overwrote) is at most N. A saturated ring keeps
+     only the newest events, so a trace that must show a whole run (CI's
+     fuzz campaign) passes --max-dropped=0.
 
 Exit status: 0 on a valid trace, 1 otherwise, with one line per problem
 on stderr. CI gates the trace-smoke step on it.
@@ -131,6 +136,13 @@ def main():
         default="",
         help="also validate this .summary.json flame sidecar",
     )
+    parser.add_argument(
+        "--max-dropped",
+        type=int,
+        default=None,
+        help="fail when the trace dropped more than N events (default: "
+        "no limit)",
+    )
     args = parser.parse_args()
 
     try:
@@ -162,6 +174,11 @@ def main():
         )
 
     dropped = data.get("otherData", {}).get("dropped_events", 0)
+    if args.max_dropped is not None and dropped > args.max_dropped:
+        errors += fail(
+            f"{dropped} events dropped, more than --max-dropped="
+            f"{args.max_dropped} (the ring buffers saturated)"
+        )
     if errors == 0:
         summary_note = " (summary OK)" if args.summary else ""
         print(

@@ -138,19 +138,20 @@ tier_asan() {
   # per-test TIMEOUT). The symbol-table, parser, printer and instance-I/O
   # tests ride along: SymbolTable::NameOf views point into a growable
   # arena, so a view held across an intern is a use-after-free here. So
-  # do the instance and homomorphism tests: posting runs relocate inside
-  # one pool, so a PostingList held across an insert is a
-  # use-after-relocate. So do the pump-detector, forest and MFA tests:
+  # do the instance, homomorphism, query, core and containment tests:
+  # posting runs relocate inside one pool, so a PostingList the matcher's
+  # walk holds across an insert is a use-after-relocate. So do the
+  # pump-detector, forest and MFA tests:
   # their TriggerViews borrow spans from the growable trigger log.
   cmake --preset asan &&
   cmake --build build-asan -j"$(nproc)" \
     --target governor_test egd_test chase_limits_test decider_test \
              batch_apply_test join_plan_test memory_budget_test edb_test \
              trigger_dedup_test model_test parser_test io_test \
-             instance_test homomorphism_test pump_detector_test \
-             forest_test mfa_test &&
+             instance_test homomorphism_test core_test containment_test \
+             pump_detector_test forest_test mfa_test &&
   (cd build-asan && ctest -j"$(nproc)" \
-    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|BatchApply|JoinPlan|DiscoveryPin|BindingSegment|PlanExecutor|HeadBlock|MemoryBudget|InstanceBudget|ChaseMemory|DeciderMemory|BulkLoad|EdbSeed|EdbSnapshot|TriggerKeyTable|MergedDiscovery|SymbolTable|Parser|Printer|InstanceIo|InstanceTest|Homomorphism|PumpDetector|Forest|Mfa')
+    -R 'Governor|Deadline|Cancellation|FaultInjection|Egd|ChaseLimits|Decider|BatchApply|JoinPlan|DiscoveryPin|BindingSegment|PlanExecutor|HeadBlock|MemoryBudget|InstanceBudget|ChaseMemory|DeciderMemory|BulkLoad|EdbSeed|EdbSnapshot|TriggerKeyTable|MergedDiscovery|SymbolTable|Parser|Printer|InstanceIo|InstanceTest|Homomorphism|QueryTest|CoreTest|ContainmentTest|PumpDetector|Forest|Mfa')
 }
 
 tier_perf() {
@@ -213,10 +214,14 @@ tier_fuzz() {
   # Tier 5 (fuzz smoke): a short deterministic differential-oracle
   # campaign. Violations are shrunk and written to tests/fuzz_corpus/,
   # ready to be committed as regression cases (fuzz_corpus_test replays
-  # everything in that directory).
+  # everything in that directory). As in CI, the campaign traces only its
+  # own spans, and the trace must hold all of them (no dropped events).
   cmake --build --preset default -j"$(nproc)" --target chase_fuzz &&
   ./build/tools/chase_fuzz --trials=100 --seed=1 \
-    --corpus-dir=tests/fuzz_corpus --json=-
+    --corpus-dir=tests/fuzz_corpus --json=- \
+    --trace=build/fuzz-trace.json --trace-categories=fuzz &&
+  python3 scripts/check_trace.py build/fuzz-trace.json \
+    --require-categories=fuzz --max-dropped=0
 }
 
 tier_report() {

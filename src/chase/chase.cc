@@ -9,7 +9,6 @@
 
 #include "base/rng.h"
 #include "base/timer.h"
-#include "chase/plan_executor.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
@@ -65,10 +64,10 @@ ChaseOutcome OutcomeOf(GovernorState state) {
 }
 
 /// The budget a run charges: the caller-shared one when provided, else a
-/// private budget built from max_memory_bytes (unlimited when 0).
+/// private unlimited one.
 std::shared_ptr<MemoryBudget> EffectiveBudget(const ChaseOptions& options) {
   if (options.memory_budget != nullptr) return options.memory_budget;
-  return std::make_shared<MemoryBudget>(options.max_memory_bytes);
+  return std::make_shared<MemoryBudget>();
 }
 
 }  // namespace
@@ -220,21 +219,21 @@ ChaseRun::HeadCheck ChaseRun::CheckHeadSatisfied(const Tgd& rule,
   search.max_candidate_visits = options_.max_join_work > join_work_
                                     ? options_.max_join_work - join_work_
                                     : 0;
-  search.visits = &join_work_;
-  bool budget_exhausted = false;
-  bool governor_tripped = false;
-  search.budget_exhausted = &budget_exhausted;
   search.governor = &governor_;
-  search.governor_tripped = &governor_tripped;
-  if (finder.ExistsWithOptions(rule.head(), rule.num_variables(), search,
-                               frontier_scratch_)) {
-    return HeadCheck::kSatisfied;
-  }
-  if (governor_tripped) {
+  bool satisfied = false;
+  const HomSearchStatus status = finder.FindAllWithOptions(
+      rule.head(), rule.num_variables(), search, frontier_scratch_,
+      [&satisfied](const Binding&) {
+        satisfied = true;
+        return false;  // one extension satisfies the trigger
+      });
+  join_work_ += status.charge;
+  if (satisfied) return HeadCheck::kSatisfied;
+  if (status.governor_tripped) {
     *outcome = OutcomeOf(governor_.Check());
     return HeadCheck::kStopped;
   }
-  if (budget_exhausted) {
+  if (status.budget_exhausted) {
     *outcome = ChaseOutcome::kResourceLimit;
     return HeadCheck::kStopped;
   }
@@ -337,7 +336,7 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
     uint32_t rule = 0;
     uint32_t pivot = 0;
     BindingSegment rows;
-    PlanExecutor::UnitStatus status;
+    HomSearchStatus status;
   };
   std::size_t unit_count = 0;
   for (uint32_t r = 0; r < rules_.size(); ++r) {
@@ -368,11 +367,15 @@ std::vector<ChaseRun::PendingTrigger> ChaseRun::DiscoverTriggers(
   const uint64_t row_budget =
       std::min(left(options_.max_hom_discoveries, hom_discoveries_),
                left(options_.max_steps, applied_triggers_));
-  const PlanExecutor executor(instance_);
+  const HomomorphismFinder finder(instance_);
   const auto execute = [&](Unit& unit, uint64_t max_charge, uint64_t row_cap) {
-    unit.status = executor.ExecuteUnit(rules_.rule(unit.rule), unit.pivot,
-                                       watermark, max_charge, row_cap,
-                                       &governor_, &unit.rows);
+    const Tgd& rule = rules_.rule(unit.rule);
+    HomSearchOptions search;
+    search.max_candidate_visits = max_charge;
+    search.governor = &governor_;
+    unit.status = finder.FindUnit(rule.body(), rule.num_variables(),
+                                  unit.pivot, watermark, search, row_cap,
+                                  &unit.rows);
   };
 
   // A governor/injector trip anywhere makes the whole phase stop early:
@@ -839,76 +842,19 @@ std::string ChaseStatsToJson(const ChaseStats& stats) {
 }
 
 bool IsModelOf(const Instance& instance, const RuleSet& rules) {
-  // An ungoverned governor never trips and the budget is infinite, so the
-  // verdict is always conclusive.
-  const RunGovernor ungoverned;
-  return IsModelOfGoverned(instance, rules, ungoverned).value_or(false);
-}
-
-std::optional<bool> IsModelOfGoverned(const Instance& instance,
-                                      const RuleSet& rules,
-                                      const RunGovernor& governor,
-                                      uint64_t max_join_work,
-                                      uint64_t* join_work) {
-  HomomorphismFinder finder(instance);
-  uint64_t visits = 0;
-  bool violated = false;
-  bool inconclusive = false;
+  const HomomorphismFinder finder(instance);
   for (const Tgd& rule : rules.rules()) {
-    // Per-rule checkpoint: the in-search polls fire only every ~1k
-    // candidate visits, so a small instance could otherwise run a whole
-    // check to a verdict under an already-tripped governor.
-    if (governor.Check() != GovernorState::kOk) {
-      inconclusive = true;
-      break;
-    }
-    HomSearchOptions body_search;
-    body_search.max_candidate_visits =
-        max_join_work > visits ? max_join_work - visits : 0;
-    body_search.visits = &visits;
-    bool body_exhausted = false;
-    bool body_tripped = false;
-    body_search.budget_exhausted = &body_exhausted;
-    body_search.governor = &governor;
-    body_search.governor_tripped = &body_tripped;
-    finder.FindAllWithOptions(
-        rule.body(), rule.num_variables(), body_search, Binding(),
-        [&](const Binding& binding) {
-          Binding frontier_binding(rule.num_variables(), UnboundTerm());
-          for (VarId v : rule.frontier()) {
-            frontier_binding[v] = binding[v];
-          }
-          // The budget is shared across all searches of the check; the
-          // body search's in-flight visits are only folded into `visits`
-          // when it finishes, so the head slice is an upper bound — fine
-          // for a budget, which bounds work, not a bit-exact count.
-          HomSearchOptions head_search;
-          head_search.max_candidate_visits =
-              max_join_work > visits ? max_join_work - visits : 0;
-          head_search.visits = &visits;
-          bool head_exhausted = false;
-          bool head_tripped = false;
-          head_search.budget_exhausted = &head_exhausted;
-          head_search.governor = &governor;
-          head_search.governor_tripped = &head_tripped;
-          if (finder.ExistsWithOptions(rule.head(), rule.num_variables(),
-                                       head_search, frontier_binding)) {
-            return true;
-          }
-          if (head_tripped || head_exhausted) {
-            inconclusive = true;
-            return false;
-          }
-          violated = true;
-          return false;
-        });
-    if (body_tripped || body_exhausted) inconclusive = true;
-    if (violated || inconclusive) break;
+    bool violated = false;
+    finder.FindAll(rule.body(), rule.num_variables(),
+                   [&](const Binding& binding) {
+                     Binding frontier(rule.num_variables(), UnboundTerm());
+                     for (VarId v : rule.frontier()) frontier[v] = binding[v];
+                     violated = !finder.Exists(rule.head(),
+                                               rule.num_variables(), frontier);
+                     return !violated;
+                   });
+    if (violated) return false;
   }
-  if (join_work != nullptr) *join_work += visits;
-  // A violation found before any trip is conclusive regardless.
-  if (violated) return false;
-  if (inconclusive) return std::nullopt;
   return true;
 }
 

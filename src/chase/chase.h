@@ -5,7 +5,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -133,8 +132,8 @@ struct ChaseOptions {
   /// discovery and by restricted head checks (bounds join *work*, which
   /// can dwarf the homomorphism count on high-fanout unguarded joins).
   /// Discovery counts every candidate of each list it picks, in range or
-  /// not (see PlanExecutor), so where a round stops does not depend on
-  /// the thread count.
+  /// not (see HomomorphismFinder), so where a round stops does not depend
+  /// on the thread count.
   uint64_t max_join_work = std::numeric_limits<uint64_t>::max();
   /// Record per-atom and per-trigger provenance (required by the
   /// termination deciders' pump detection; charged to the memory budget
@@ -149,20 +148,18 @@ struct ChaseOptions {
   /// records, dedup table, position index, posting lists, batch staging,
   /// discovery rows, and on a provenance run the provenance and the
   /// trigger log).
-  /// 0 means unlimited. Enforced two ways: bulk growth points project
+  /// Null means unlimited. Enforced two ways: bulk growth points project
   /// their exact byte cost and refuse to commit it when it would cross
   /// the limit, and every governor checkpoint trips once live usage is
   /// over it — either way the run stops cleanly with
   /// ChaseOutcome::kMemoryBudgetExceeded, the partial instance and stats
   /// intact, never a throw mid-grow. Per-atom steady-state growth between
   /// checkpoints bounds the overshoot to one geometric growth step.
-  uint64_t max_memory_bytes = 0;
-  /// Externally owned budget to charge instead of a private one built
-  /// from max_memory_bytes (which is then ignored). Lets sequential runs
-  /// (chase_cli's loader and chase, or its decider chases and restricted
-  /// probe) or concurrent ones share one admission-controlled pool that
-  /// a heartbeat can sample; the run charges its retained bytes on
-  /// growth and releases them when its storage dies.
+  /// The budget is shared, not copied: sequential runs (chase_cli's
+  /// loader and chase, or its decider chases and restricted probe) or
+  /// concurrent ones draw on one admission-controlled pool that a
+  /// heartbeat can sample; the run charges its retained bytes on growth
+  /// and releases them when its storage dies.
   std::shared_ptr<MemoryBudget> memory_budget;
   /// Wall-clock budget for the run. Checked cooperatively (round starts,
   /// discovery units, join-search visits, trigger applications); expiry
@@ -367,8 +364,7 @@ class ChaseRun {
 
   const Instance& instance() const { return instance_; }
   /// The budget this run charges: options_.memory_budget if provided,
-  /// else a private one built from options_.max_memory_bytes (unlimited
-  /// when that is 0). Never null.
+  /// else a private unlimited one. Never null.
   const MemoryBudget& memory_budget() const { return *memory_budget_; }
   const RuleSet& rules() const { return rules_; }
   const std::vector<AtomProvenance>& provenance() const { return provenance_; }
@@ -465,7 +461,7 @@ class ChaseRun {
   /// One round of semi-naive trigger discovery: every homomorphism whose
   /// image touches an atom with id >= `watermark`, deduplicated through
   /// applied_keys_, in deterministic (rule, pivot, discovery) order. The
-  /// PlanExecutor runs each (rule, pivot) unit into its own buffer — on
+  /// HomomorphismFinder runs each (rule, pivot) unit into its own buffer — on
   /// the calling thread, or on the pool for big rounds — and one merge
   /// admits the rows in unit order, enforcing the step, hom and join-work
   /// caps (see the definition). The survivors' binding rows land in
@@ -610,17 +606,6 @@ std::string ChaseStatsToJson(const ChaseStats& stats);
 /// Checks that `instance` satisfies every rule (every body homomorphism
 /// extends to a head homomorphism). A terminated chase must satisfy this.
 bool IsModelOf(const Instance& instance, const RuleSet& rules);
-
-/// Governed IsModelOf: every body enumeration and head check runs under
-/// `governor` checkpoints and a shared visit budget, so a pathological
-/// model check cannot outlive a deadline. Returns nullopt when the
-/// governor tripped or `max_join_work` ran out before a verdict (a
-/// violation found before the trip is still conclusive). Accumulates the
-/// visits performed into *join_work when non-null.
-std::optional<bool> IsModelOfGoverned(
-    const Instance& instance, const RuleSet& rules, const RunGovernor& governor,
-    uint64_t max_join_work = std::numeric_limits<uint64_t>::max(),
-    uint64_t* join_work = nullptr);
 
 }  // namespace gchase
 

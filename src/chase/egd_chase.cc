@@ -154,8 +154,7 @@ EgdChaseResult RunStandardChaseWithEgds(const RuleSet& rules,
         HomomorphismFinder finder(result.instance);
         HomSearchOptions search;
         search.governor = &governor;
-        search.governor_tripped = &scan_tripped;
-        finder.FindAllWithOptions(
+        const HomSearchStatus status = finder.FindAllWithOptions(
             egd.body(), egd.num_variables(), search, Binding(),
             [&](const Binding& binding) {
                          for (const Egd::Equality& eq : egd.equalities()) {
@@ -175,6 +174,7 @@ EgdChaseResult RunStandardChaseWithEgds(const RuleSet& rules,
                          }
                          return true;
                        });
+        scan_tripped = scan_tripped || status.governor_tripped;
         if (clash) {
           result.outcome = EgdChaseOutcome::kFailed;
           return result;
@@ -207,17 +207,15 @@ EgdChaseResult RunStandardChaseWithEgds(const RuleSet& rules,
       std::vector<Binding> bindings;
       {
         HomomorphismFinder finder(result.instance);
-        bool collect_tripped = false;
         HomSearchOptions search;
         search.governor = &governor;
-        search.governor_tripped = &collect_tripped;
-        finder.FindAllWithOptions(rule.body(), rule.num_variables(), search,
-                                  Binding(),
-                                  [&bindings](const Binding& binding) {
-                                    bindings.push_back(binding);
-                                    return true;
-                                  });
-        if (collect_tripped) {
+        const HomSearchStatus status = finder.FindAllWithOptions(
+            rule.body(), rule.num_variables(), search, Binding(),
+            [&bindings](const Binding& binding) {
+              bindings.push_back(binding);
+              return true;
+            });
+        if (status.governor_tripped) {
           governed_stop();
           return result;
         }
@@ -232,13 +230,16 @@ EgdChaseResult RunStandardChaseWithEgds(const RuleSet& rules,
         Binding frontier(rule.num_variables(), UnboundTerm());
         for (VarId v : rule.frontier()) frontier[v] = binding[v];
         HomomorphismFinder finder(result.instance);
-        bool head_tripped = false;
         HomSearchOptions head_search;
         head_search.governor = &governor;
-        head_search.governor_tripped = &head_tripped;
-        const bool satisfied = finder.ExistsWithOptions(
-            rule.head(), rule.num_variables(), head_search, frontier);
-        if (head_tripped) {
+        bool satisfied = false;
+        const HomSearchStatus status = finder.FindAllWithOptions(
+            rule.head(), rule.num_variables(), head_search, frontier,
+            [&satisfied](const Binding&) {
+              satisfied = true;
+              return false;
+            });
+        if (status.governor_tripped) {
           governed_stop();
           return result;
         }

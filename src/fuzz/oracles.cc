@@ -178,22 +178,18 @@ std::optional<bool> MapsInto(const Instance& from, const Instance& to,
 
   HomSearchOptions search;
   search.max_candidate_visits = options.max_equivalence_visits;
-  bool exhausted = false;
-  bool tripped = false;
-  search.budget_exhausted = &exhausted;
   search.governor = &governor;
-  search.governor_tripped = &tripped;
 
   bool found = false;
   HomomorphismFinder finder(to);
-  finder.FindAllWithOptions(conjunction,
-                            static_cast<uint32_t>(null_to_var.size()), search,
-                            Binding(), [&](const Binding&) {
-                              found = true;
-                              return false;  // first witness suffices
-                            });
+  const HomSearchStatus status = finder.FindAllWithOptions(
+      conjunction, static_cast<uint32_t>(null_to_var.size()), search,
+      Binding(), [&](const Binding&) {
+        found = true;
+        return false;  // first witness suffices
+      });
   if (found) return true;
-  if (exhausted || tripped) return std::nullopt;
+  if (status.budget_exhausted || status.governor_tripped) return std::nullopt;
   return false;
 }
 
@@ -846,7 +842,8 @@ OracleResult CheckMemoryCapTwin(const FuzzCase& fuzz_case,
       continue;
     }
     ChaseOptions budgeted = base_options;
-    budgeted.max_memory_bytes = base.stats.peak_memory_bytes / 2 + 1;
+    budgeted.memory_budget =
+        std::make_shared<MemoryBudget>(base.stats.peak_memory_bytes / 2 + 1);
     ChaseResult run =
         RunChase(fuzz_case.rules, budgeted, fuzz_case.database);
     if (Aborted(run.outcome)) {

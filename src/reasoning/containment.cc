@@ -53,20 +53,19 @@ StatusOr<ContainmentVerdict> IsContainedIn(const ConjunctiveQuery& q1,
   }
   const RunGovernor governor(options.deadline, options.cancel);
   HomSearchOptions search;
-  bool match_tripped = false;
   search.governor = &governor;
-  search.governor_tripped = &match_tripped;
   bool found = false;
   HomomorphismFinder finder(result.instance);
-  finder.FindAllWithOptions(q2.atoms, q2.num_variables, search, initial,
-                            [&found](const Binding&) {
-                              found = true;
-                              return false;  // first match suffices
-                            });
+  const HomSearchStatus status = finder.FindAllWithOptions(
+      q2.atoms, q2.num_variables, search, initial, [&found](const Binding&) {
+        found = true;
+        return false;  // first match suffices
+      });
   if (found) {
     return ContainmentVerdict::kContained;  // sound even on a prefix
   }
-  if (result.outcome == ChaseOutcome::kTerminated && !match_tripped) {
+  if (result.outcome == ChaseOutcome::kTerminated &&
+      !status.governor_tripped) {
     return ContainmentVerdict::kNotContained;
   }
   return ContainmentVerdict::kUnknown;

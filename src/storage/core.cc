@@ -100,12 +100,10 @@ CoreResult ComputeCore(const Instance& instance, const CoreOptions& options) {
         // automorphism and makes no progress. The search itself is
         // governed — one endomorphism search can be exponential.
         HomSearchOptions search;
-        bool search_tripped = false;
         search.governor = &governor;
-        search.governor_tripped = &search_tripped;
         std::optional<Instance> shrunk;
         uint32_t enumerated = 0;
-        finder.FindAllWithOptions(
+        const HomSearchStatus status = finder.FindAllWithOptions(
             query.atoms, query.num_variables, search, initial,
             [&](const Binding& fold) {
               Instance image = ApplyFold(result.core, query, fold);
@@ -115,7 +113,7 @@ CoreResult ComputeCore(const Instance& instance, const CoreOptions& options) {
               }
               return ++enumerated < 256;  // per-pin enumeration budget
             });
-        if (search_tripped && !shrunk.has_value()) {
+        if (status.governor_tripped && !shrunk.has_value()) {
           result.minimized_fully = false;
           result.stopped_by = governor.Check() == GovernorState::kCancelled
                                   ? StopReason::kCancelled

@@ -1,185 +1,211 @@
 #include "storage/homomorphism.h"
 
-#include <algorithm>
-#include <limits>
-
 namespace gchase {
 
 namespace {
 
-/// Backtracking search state for one FindAllWithOptions call.
-class Search {
+/// The pivot of a search with every conjunct in range.
+constexpr uint32_t kNoPivot = std::numeric_limits<uint32_t>::max();
+
+/// The depth-first walk of one search: one binding row with a
+/// unification trail, each complete row handed to `Sink` (a callable
+/// taking the row and returning false to stop), so the discovery unit's
+/// append is inlined rather than called through a std::function.
+template <typename Sink>
+class Walk {
  public:
-  Search(const Instance& instance, const std::vector<Atom>& conjunction,
-         const HomSearchOptions& options,
-         const std::function<bool(const Binding&)>& callback)
+  Walk(const Instance& instance, const std::vector<Atom>& conjunction,
+       uint32_t num_variables, const Binding& initial, uint32_t pivot,
+       AtomId watermark, const HomSearchOptions& options, const Sink& sink)
       : instance_(instance),
         conjunction_(conjunction),
+        pivot_(pivot),
+        watermark_(watermark),
         options_(options),
-        callback_(callback),
-        matched_(conjunction.size(), false) {}
+        sink_(sink),
+        row_(num_variables, UnboundTerm()),
+        matched_(conjunction.size(), false) {
+    for (std::size_t v = 0; v < initial.size() && v < row_.size(); ++v) {
+      row_[v] = initial[v];
+    }
+    // A conjunct's clipped predicate span is fixed for the whole search;
+    // only position lists depend on the row.
+    predicate_spans_.reserve(conjunction_.size());
+    for (uint32_t c = 0; c < conjunction_.size(); ++c) {
+      predicate_spans_.push_back(
+          ClipPostings(instance_.AtomsWithPredicate(conjunction_[c].predicate),
+                       RangeOf(c), watermark_));
+    }
+  }
 
-  void Run(Binding* binding) {
-    binding_ = binding;
-    stop_ = false;
-    Recurse(0);
-    if (options_.visits != nullptr) *options_.visits += visited_;
+  HomSearchStatus Run() {
+    Expand(0);
+    return status_;
   }
 
  private:
-  /// Estimated candidate count for a conjunct under the current binding,
-  /// plus the most selective (pred, pos, term) probe if one exists.
-  struct Plan {
-    std::size_t estimate = std::numeric_limits<std::size_t>::max();
-    bool use_position = false;
-    uint32_t position = 0;
-    Term term;
-  };
-
-  Plan PlanFor(const Atom& atom) const {
-    Plan plan;
-    plan.estimate = instance_.AtomsWithPredicate(atom.predicate).size();
-    for (uint32_t pos = 0; pos < atom.arity(); ++pos) {
-      Term t = atom.args[pos];
-      Term image;
-      if (t.IsVariable()) {
-        image = (*binding_)[t.index()];
-        if (!IsBound(image)) continue;
-      } else {
-        image = t;
-      }
-      std::size_t count =
-          instance_.AtomsWithTermAt(atom.predicate, pos, image).size();
-      if (count < plan.estimate) {
-        plan.estimate = count;
-        plan.use_position = true;
-        plan.position = pos;
-        plan.term = image;
-      }
-    }
-    return plan;
+  /// Where conjunct `c` may match: anywhere in a plain search; in a
+  /// discovery unit, old atoms before the pivot, the delta at it and any
+  /// atom after it.
+  MatchRange RangeOf(uint32_t c) const {
+    if (pivot_ == kNoPivot || c > pivot_) return MatchRange::kAll;
+    return c < pivot_ ? MatchRange::kOldOnly : MatchRange::kDeltaOnly;
   }
 
-  void Recurse(std::size_t depth) {
-    if (stop_) return;
+  /// Counts `n` candidates. False, and the walk stops, once the charge
+  /// passes the cap (it then reads cap + 1) or the governor trips as the
+  /// charge crosses a multiple of 1024.
+  bool Charge(uint64_t n) {
+    const uint64_t before = status_.charge;
+    if (n > options_.max_candidate_visits - before) {
+      status_.charge = options_.max_candidate_visits + 1;
+      status_.budget_exhausted = true;
+      stop_ = true;
+      return false;
+    }
+    status_.charge = before + n;
+    if (options_.governor != nullptr &&
+        (before >> 10) != (status_.charge >> 10) &&
+        options_.governor->Check() != GovernorState::kOk) {
+      status_.governor_tripped = true;
+      stop_ = true;
+      return false;
+    }
+    return true;
+  }
+
+  /// Unifies `pattern` with atom `id`, binding free slots onto the trail.
+  bool Unify(const Atom& pattern, AtomId id) {
+    const AtomView fact = instance_.atom(id);
+    for (uint32_t pos = 0; pos < pattern.arity(); ++pos) {
+      const Term t = pattern.args[pos];
+      const Term image = fact.args[pos];
+      if (!t.IsVariable()) {
+        if (t != image) return false;
+        continue;
+      }
+      Term& slot = row_[t.index()];
+      if (IsBound(slot)) {
+        if (slot != image) return false;
+      } else {
+        slot = image;
+        trail_.push_back(t.index());
+      }
+    }
+    return true;
+  }
+
+  void Expand(uint32_t depth) {
     if (depth == conjunction_.size()) {
-      if (!callback_(*binding_)) stop_ = true;
+      if (!sink_(row_)) {
+        status_.row_capped = true;
+        stop_ = true;
+      }
       return;
     }
-    // Pick the unmatched conjunct with the smallest candidate estimate.
-    std::size_t best = conjunction_.size();
-    Plan best_plan;
-    for (std::size_t i = 0; i < conjunction_.size(); ++i) {
-      if (matched_[i]) continue;
-      Plan plan = PlanFor(conjunction_[i]);
-      if (best == conjunction_.size() || plan.estimate < best_plan.estimate) {
-        best = i;
-        best_plan = plan;
+    // The unmatched conjunct with the smallest candidate list, each
+    // conjunct's list being its predicate list or a strictly smaller
+    // constant or bound-position list; ties go to the earlier conjunct
+    // and the earlier position.
+    uint32_t best = static_cast<uint32_t>(conjunction_.size());
+    PostingList best_list;
+    bool best_is_predicate = false;
+    for (uint32_t c = 0; c < conjunction_.size(); ++c) {
+      if (matched_[c]) continue;
+      const Atom& atom = conjunction_[c];
+      PostingList list = instance_.AtomsWithPredicate(atom.predicate);
+      bool is_predicate = true;
+      for (uint32_t pos = 0; pos < atom.arity(); ++pos) {
+        const Term t = atom.args[pos];
+        const Term image = t.IsVariable() ? row_[t.index()] : t;
+        if (t.IsVariable() && !IsBound(image)) continue;
+        const PostingList probe =
+            instance_.AtomsWithTermAt(atom.predicate, pos, image);
+        if (probe.size() < list.size()) {
+          list = probe;
+          is_predicate = false;
+        }
+      }
+      if (best == conjunction_.size() || list.size() < best_list.size()) {
+        best = c;
+        best_list = list;
+        best_is_predicate = is_predicate;
       }
     }
-    GCHASE_CHECK(best < conjunction_.size());
+    const PostingView span =
+        best_is_predicate
+            ? predicate_spans_[best]
+            : ClipPostings(best_list, RangeOf(best), watermark_);
     const Atom& pattern = conjunction_[best];
-    const PostingList candidates =
-        best_plan.use_position
-            ? instance_.AtomsWithTermAt(pattern.predicate, best_plan.position,
-                                        best_plan.term)
-            : instance_.AtomsWithPredicate(pattern.predicate);
-
     matched_[best] = true;
-    // The trail must be per-candidate and per-depth: deeper recursion
-    // levels maintain their own trails.
-    std::vector<uint32_t> trail;
-    for (AtomId id : candidates) {
-      if (stop_) break;
-      if (++visited_ > options_.max_candidate_visits) {
-        if (options_.budget_exhausted != nullptr) {
-          *options_.budget_exhausted = true;
+    // Old atoms ahead of a delta-only span are counted before its
+    // children, delta atoms behind an old-only span after them.
+    if (Charge(span.begin - best_list.begin())) {
+      for (const AtomId* it = span.begin; it != span.end && !stop_; ++it) {
+        if (!Charge(1)) break;
+        const std::size_t mark = trail_.size();
+        if (Unify(pattern, *it)) Expand(depth + 1);
+        for (std::size_t i = mark; i < trail_.size(); ++i) {
+          row_[trail_[i]] = UnboundTerm();
         }
-        stop_ = true;
-        break;
+        trail_.resize(mark);
       }
-      if (options_.governor != nullptr && (visited_ & 1023u) == 0 &&
-          options_.governor->Check() != GovernorState::kOk) {
-        if (options_.governor_tripped != nullptr) {
-          *options_.governor_tripped = true;
-        }
-        stop_ = true;
-        break;
-      }
-      const AtomView fact = instance_.atom(id);
-      // Unify pattern against fact, recording newly bound variables.
-      trail.clear();
-      bool ok = true;
-      for (uint32_t pos = 0; pos < pattern.arity(); ++pos) {
-        Term t = pattern.args[pos];
-        Term image = fact.args[pos];
-        if (t.IsVariable()) {
-          Term& slot = (*binding_)[t.index()];
-          if (IsBound(slot)) {
-            if (slot != image) {
-              ok = false;
-              break;
-            }
-          } else {
-            slot = image;
-            trail.push_back(t.index());
-          }
-        } else if (t != image) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) Recurse(depth + 1);
-      for (uint32_t v : trail) (*binding_)[v] = UnboundTerm();
+      if (!stop_) Charge(best_list.end() - span.end);
     }
     matched_[best] = false;
   }
 
   const Instance& instance_;
   const std::vector<Atom>& conjunction_;
-  const HomSearchOptions& options_;
-  const std::function<bool(const Binding&)>& callback_;
+  const uint32_t pivot_;
+  const AtomId watermark_;
+  const HomSearchOptions options_;
+  const Sink& sink_;
+  Binding row_;
+  std::vector<uint32_t> trail_;
   std::vector<bool> matched_;
-  Binding* binding_ = nullptr;
-  uint64_t visited_ = 0;
+  std::vector<PostingView> predicate_spans_;
+  HomSearchStatus status_;
   bool stop_ = false;
 };
 
 }  // namespace
 
-void HomomorphismFinder::FindAllWithOptions(
+HomSearchStatus HomomorphismFinder::FindAllWithOptions(
     const std::vector<Atom>& conjunction, uint32_t num_variables,
     const HomSearchOptions& options, const Binding& initial,
     const std::function<bool(const Binding&)>& callback) const {
-  Binding binding(num_variables, UnboundTerm());
-  for (std::size_t v = 0; v < initial.size() && v < binding.size(); ++v) {
-    binding[v] = initial[v];
-  }
-  if (conjunction.empty()) {
-    callback(binding);
-    return;
-  }
-  Search search(instance_, conjunction, options, callback);
-  search.Run(&binding);
+  return Walk(instance_, conjunction, num_variables, initial, kNoPivot,
+              /*watermark=*/0, options, callback)
+      .Run();
 }
 
 std::optional<Binding> HomomorphismFinder::FindOne(
     const std::vector<Atom>& conjunction, uint32_t num_variables,
     const Binding& initial) const {
-  return FindOneWithOptions(conjunction, num_variables, HomSearchOptions{},
-                            initial);
-}
-
-std::optional<Binding> HomomorphismFinder::FindOneWithOptions(
-    const std::vector<Atom>& conjunction, uint32_t num_variables,
-    const HomSearchOptions& options, const Binding& initial) const {
   std::optional<Binding> result;
-  FindAllWithOptions(conjunction, num_variables, options, initial,
+  FindAllWithOptions(conjunction, num_variables, HomSearchOptions{}, initial,
                      [&result](const Binding& binding) {
                        result = binding;
                        return false;  // Stop after the first match.
                      });
   return result;
+}
+
+HomSearchStatus HomomorphismFinder::FindUnit(
+    const std::vector<Atom>& body, uint32_t num_variables, uint32_t pivot,
+    AtomId watermark, const HomSearchOptions& options, uint64_t row_cap,
+    BindingSegment* out) const {
+  GCHASE_CHECK(pivot < body.size());
+  out->Clear();
+  out->SetWidth(num_variables);
+  const auto append = [out, row_cap](const Binding& row) {
+    out->AppendRow(row.data());
+    return out->rows() < row_cap;
+  };
+  return Walk(instance_, body, num_variables, Binding(), pivot, watermark,
+              options, append)
+      .Run();
 }
 
 Atom SubstituteAtom(const Atom& atom, const Binding& binding) {

@@ -7,7 +7,9 @@
 #include <optional>
 #include <vector>
 
+#include "base/check.h"
 #include "base/governor.h"
+#include "base/memory_budget.h"
 #include "model/atom.h"
 #include "storage/instance.h"
 
@@ -23,42 +25,123 @@ inline constexpr uint32_t kUnboundIndex = (1u << 30) - 1;
 inline Term UnboundTerm() { return Term::Null(kUnboundIndex); }
 inline bool IsBound(Term t) { return t != UnboundTerm(); }
 
-/// Options for one FindHomomorphisms call.
+/// Limits of one search.
 ///
 /// Concurrency: a search only reads the instance, so any number of
 /// searches may run in parallel against one Instance that no thread is
-/// mutating. The `visits` and `budget_exhausted` out-pointers are written
-/// without synchronization — give each concurrent search its own.
+/// mutating. The governor is thread-safe.
 struct HomSearchOptions {
-  /// Cap on candidate atoms visited by the backtracking search (bounds
-  /// join *work*, not just results; high-fanout unguarded joins can do
-  /// enormous work while yielding few homomorphisms).
+  /// Cap on candidate atoms counted (bounds join *work*, not just
+  /// results; high-fanout unguarded joins can do enormous work while
+  /// yielding few homomorphisms).
   uint64_t max_candidate_visits = std::numeric_limits<uint64_t>::max();
-  /// Set to true when the search stopped because the visit cap was hit
-  /// (results are then incomplete). Optional.
-  bool* budget_exhausted = nullptr;
-  /// Incremented by the number of candidate visits performed. Optional.
-  uint64_t* visits = nullptr;
-  /// Run governor checked every 1024 candidate visits when set — the
-  /// cooperative checkpoint that keeps a single pathological join from
-  /// outliving its deadline. A tripped governor stops the search like an
-  /// exhausted budget, but reports through *governor_tripped instead
-  /// (results are then incomplete). The governor itself is thread-safe;
-  /// give each concurrent search its own tripped flag.
+  /// Run governor polled each time the count reaches a multiple of 1024
+  /// when set — the cooperative checkpoint that keeps a single
+  /// pathological join from outliving its deadline.
   const RunGovernor* governor = nullptr;
-  bool* governor_tripped = nullptr;
 };
 
-/// Backtracking conjunctive matcher for head checks, queries, cores and
-/// model checks (trigger discovery runs the PlanExecutor, which makes the
-/// same choices over range-clipped posting lists).
+/// What one search did. A search stopped by its budget or its governor
+/// has reported only some homomorphisms, so finding none is then
+/// inconclusive.
+struct HomSearchStatus {
+  /// Join work: candidates counted, max_candidate_visits + 1 once it ran
+  /// out.
+  uint64_t charge = 0;
+  bool budget_exhausted = false;  ///< The charge passed the cap.
+  bool row_capped = false;        ///< The row sink stopped the search.
+  bool governor_tripped = false;  ///< The governor tripped.
+};
+
+/// Columnar buffer of fixed-width binding rows (one row = the images of
+/// one rule's variables, unbound slots holding the UnboundTerm sentinel).
+/// Each discovery unit writes its homomorphisms into one of these instead
+/// of per-trigger Binding vectors. Growth is charged to an attached memory
+/// budget with the same ratchet the HeadBlock staging buffer uses:
+/// capacity deltas on growth, the full charge released on re-attach or
+/// destruction.
+class BindingSegment {
+ public:
+  BindingSegment() = default;
+  BindingSegment(const BindingSegment&) = delete;
+  BindingSegment& operator=(const BindingSegment&) = delete;
+  ~BindingSegment() {
+    if (budget_ != nullptr) budget_->Release(charged_bytes_);
+  }
+
+  void SetWidth(uint32_t width) {
+    GCHASE_CHECK(terms_.empty());
+    width_ = width;
+  }
+  uint32_t width() const { return width_; }
+  uint64_t rows() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
+
+  /// Copies one row of `width()` terms into the segment.
+  void AppendRow(const Term* row) {
+    terms_.insert(terms_.end(), row, row + width_);
+    ++rows_;
+    TrackGrowth();
+  }
+
+  const Term* row(uint64_t r) const { return terms_.data() + r * width_; }
+
+  void Clear() {
+    terms_.clear();
+    rows_ = 0;
+  }
+
+  /// Bytes of heap capacity currently retained. Clear() keeps capacity,
+  /// so this is a high-water figure by design.
+  uint64_t capacity_bytes() const { return terms_.capacity() * sizeof(Term); }
+
+  /// Attaches (or detaches, with nullptr) a budget to charge retained
+  /// capacity to; see HeadBlock::SetMemoryBudget for the contract.
+  void SetMemoryBudget(MemoryBudget* budget) {
+    if (budget_ != nullptr) budget_->Release(charged_bytes_);
+    budget_ = budget;
+    charged_bytes_ = 0;
+    TrackGrowth();
+  }
+
+ private:
+  void TrackGrowth() {
+    if (budget_ == nullptr) return;
+    const uint64_t now = capacity_bytes();
+    if (now > charged_bytes_) {
+      budget_->Charge(now - charged_bytes_);
+      charged_bytes_ = now;
+    }
+  }
+
+  std::vector<Term> terms_;
+  uint32_t width_ = 0;
+  uint64_t rows_ = 0;
+  MemoryBudget* budget_ = nullptr;
+  uint64_t charged_bytes_ = 0;
+};
+
+/// The one conjunctive matcher: trigger discovery, head checks, queries,
+/// cores, containment and model checks all run its walk.
 ///
 /// Enumerates homomorphisms h from a conjunction of atoms (whose variables
 /// are dense ids < num_variables) into `instance`, extending an optional
-/// initial binding. Candidate atoms are drawn from the instance's position
-/// index for the most selective bound position (falling back to the
-/// per-predicate list), and conjuncts are matched in a greedy
-/// smallest-candidate-set order.
+/// initial binding. The walk is depth-first: at each node it matches next
+/// the unmatched conjunct with the smallest candidate list — the
+/// predicate list or, when smaller, the posting list of a constant or
+/// bound position — with ties to the earlier conjunct and position, and
+/// it scans candidates in id order, counting each one.
+///
+/// A discovery unit (FindUnit) restricts conjuncts to ranges of atom ids
+/// and scans only each list's clipped span, but it still counts every
+/// candidate of the chosen list, in range or not: a delta-only node's old
+/// prefix before its children, an old-only node's delta suffix after
+/// them. Its join work is therefore the one an unranged walk would count
+/// at the same point, which keeps where a capped round stops independent
+/// of how the round is split.
+///
+/// Stateless beyond the borrowed instance, so any number of searches may
+/// run concurrently; each writes only its own binding and sink.
 class HomomorphismFinder {
  public:
   explicit HomomorphismFinder(const Instance& instance)
@@ -75,27 +158,17 @@ class HomomorphismFinder {
   }
 
   /// Full-control variant: search options plus an initial partial
-  /// binding (`initial` may be empty or sized num_variables).
-  void FindAllWithOptions(const std::vector<Atom>& conjunction,
-                          uint32_t num_variables,
-                          const HomSearchOptions& options,
-                          const Binding& initial,
-                          const std::function<bool(const Binding&)>& callback)
-      const;
+  /// binding (`initial` may be empty or sized num_variables). Returns
+  /// what the search did; a callback that returns false sets row_capped.
+  HomSearchStatus FindAllWithOptions(
+      const std::vector<Atom>& conjunction, uint32_t num_variables,
+      const HomSearchOptions& options, const Binding& initial,
+      const std::function<bool(const Binding&)>& callback) const;
 
   /// Returns the first homomorphism found, if any.
   std::optional<Binding> FindOne(const std::vector<Atom>& conjunction,
                                  uint32_t num_variables,
                                  const Binding& initial = Binding()) const;
-
-  /// FindOne under full search options: visit budget, visit accounting
-  /// and governor checkpoints apply exactly as in FindAllWithOptions. A
-  /// nullopt result is conclusive only if neither `budget_exhausted` nor
-  /// `governor_tripped` was set.
-  std::optional<Binding> FindOneWithOptions(const std::vector<Atom>& conjunction,
-                                            uint32_t num_variables,
-                                            const HomSearchOptions& options,
-                                            const Binding& initial) const;
 
   /// True if some homomorphism exists (boolean CQ evaluation).
   bool Exists(const std::vector<Atom>& conjunction, uint32_t num_variables,
@@ -103,18 +176,18 @@ class HomomorphismFinder {
     return FindOne(conjunction, num_variables, initial).has_value();
   }
 
-  /// Exists under full search options — every engine-side satisfaction
-  /// check goes through this so deadlines, cancellation and join-work
-  /// accounting reach into the search (a bare Exists has no cooperative
-  /// checkpoint and can outlive its run's deadline). A false result is
-  /// conclusive only if neither out-flag was set.
-  bool ExistsWithOptions(const std::vector<Atom>& conjunction,
-                         uint32_t num_variables,
-                         const HomSearchOptions& options,
-                         const Binding& initial) const {
-    return FindOneWithOptions(conjunction, num_variables, options, initial)
-        .has_value();
-  }
+  /// Runs discovery unit (`body`, `pivot`) of a semi-naive round against
+  /// the delta starting at `watermark`: conjuncts before the pivot match
+  /// old atoms only (ids below the watermark), the pivot matches the
+  /// delta only, and later conjuncts match any atom, so a round's units
+  /// partition its new homomorphisms. Writes every homomorphism, as a row
+  /// of num_variables slots (head-only variables unbound), to `*out`
+  /// (cleared first), and stops once `row_cap` rows are written (a cap of
+  /// 0 stops after the first).
+  HomSearchStatus FindUnit(const std::vector<Atom>& body,
+                           uint32_t num_variables, uint32_t pivot,
+                           AtomId watermark, const HomSearchOptions& options,
+                           uint64_t row_cap, BindingSegment* out) const;
 
  private:
   const Instance& instance_;

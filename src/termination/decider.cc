@@ -50,7 +50,6 @@ StatusOr<DeciderResult> DecideTermination(const RuleSet& rules,
   chase_options.max_hom_discoveries = options.max_hom_discoveries;
   chase_options.max_join_work = options.max_join_work;
   chase_options.discovery_threads = options.discovery_threads;
-  chase_options.max_memory_bytes = options.max_memory_bytes;
   chase_options.memory_budget = options.memory_budget;
   chase_options.track_provenance = true;
   chase_options.deadline = options.deadline;

@@ -51,16 +51,13 @@ struct DeciderOptions {
   /// thread-count-invariant: discovery is merged deterministically.
   uint32_t discovery_threads = 1;
   /// Byte budget for the exploratory chase's retained storage (see
-  /// ChaseOptions::max_memory_bytes; 0 = unlimited). A memory trip
+  /// ChaseOptions::memory_budget; null = unlimited). A memory trip
   /// downgrades the verdict to kUnknown (reason kMemory) — an
   /// out-of-budget probe of the critical instance is NOT evidence of
-  /// divergence, exactly as a deadline expiry is not.
-  uint64_t max_memory_bytes = 0;
-  /// Externally owned budget shared across calls (see
-  /// ChaseOptions::memory_budget). Each call's chase storage dies before
-  /// the call returns, so sequential calls share the headroom, and a
-  /// caller that samples the budget (chase_cli's heartbeat) sees the
-  /// decider chase's bytes.
+  /// divergence, exactly as a deadline expiry is not. Each call's chase
+  /// storage dies before the call returns, so sequential calls sharing
+  /// one budget share its headroom, and a caller that samples the budget
+  /// (chase_cli's heartbeat) sees the decider chase's bytes.
   std::shared_ptr<MemoryBudget> memory_budget;
   /// Use the paper's standard-database critical instance ({*,0,1}).
   bool standard_database = false;

@@ -80,48 +80,6 @@ TEST(ChaseLimitsTest, IsModelOfDetectsViolations) {
   EXPECT_TRUE(IsModelOf(result.instance, program.rules));
 }
 
-TEST(ChaseLimitsTest, IsModelOfGovernedMatchesUngovernedWhenUntripped) {
-  ParsedProgram program = MustParse(
-      "p(X) -> q(X).\n"
-      "p(a). p(b). q(a).\n");
-  Instance incomplete;
-  for (const Atom& fact : program.facts) incomplete.Insert(fact);
-  RunGovernor idle;
-  uint64_t join_work = 0;
-  std::optional<bool> verdict = IsModelOfGoverned(
-      incomplete, program.rules, idle,
-      std::numeric_limits<uint64_t>::max(), &join_work);
-  ASSERT_TRUE(verdict.has_value());
-  EXPECT_FALSE(*verdict);
-  EXPECT_GT(join_work, 0u);
-
-  ChaseResult result = RunChase(program.rules, ChaseOptions{},
-                                program.facts);
-  verdict = IsModelOfGoverned(result.instance, program.rules, idle);
-  ASSERT_TRUE(verdict.has_value());
-  EXPECT_TRUE(*verdict);
-}
-
-TEST(ChaseLimitsTest, IsModelOfGovernedReturnsInconclusiveOnTrip) {
-  // A cancelled governor makes the check inconclusive — never a (wrong)
-  // "is a model" or "is not".
-  ParsedProgram program = MustParse(
-      "p(X) -> q(X).\n"
-      "p(a). p(b). q(a). q(b).\n");
-  ChaseResult result = RunChase(program.rules, ChaseOptions{},
-                                program.facts);
-  CancellationToken cancel;
-  cancel.RequestCancel();
-  RunGovernor tripped(Deadline::Infinite(), cancel);
-  EXPECT_FALSE(
-      IsModelOfGoverned(result.instance, program.rules, tripped).has_value());
-  // An exhausted join budget is inconclusive the same way.
-  RunGovernor idle;
-  EXPECT_FALSE(IsModelOfGoverned(result.instance, program.rules, idle,
-                                 /*max_join_work=*/1)
-                   .has_value());
-}
-
 TEST(ChaseLimitsTest, RestrictedHeadChecksChargeJoinWork) {
   // Restricted runs pay for satisfaction checks in join_work; the
   // (semi-)oblivious twin of the same program performs none, so its

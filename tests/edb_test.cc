@@ -232,7 +232,8 @@ TEST(EdbSeed, BudgetBelowInstancePlusVocabularyTripsAtSeed) {
   // Room for the instance's reserve alone, not for both.
   ChaseOptions options;
   options.max_atoms = 100000;
-  options.max_memory_bytes = instance_reserve + vocabulary_reserve / 2;
+  options.memory_budget = std::make_shared<MemoryBudget>(
+      instance_reserve + vocabulary_reserve / 2);
   ChaseRun run(program->rules, options, *edb, &program->vocabulary);
   ASSERT_TRUE(run.seed_status().ok());
   EXPECT_EQ(run.Execute(), ChaseOutcome::kMemoryBudgetExceeded);

@@ -1,13 +1,12 @@
-// Tests for trigger discovery's one engine (chase/plan_executor.{h,cc}
-// and the unit merge in chase/chase.cc): the executor's conjunct choice,
-// range clipping and join-work charge against the backtracking search,
-// BindingSegment budget mechanics, bit-identity of one discovery thread
-// against four across the variant x order grid, discovery-cap sweeps and
-// fault-injection abort points, and counters recorded from the engines
-// the executor replaced.
+// Tests for trigger discovery's engine (the discovery unit of
+// storage/homomorphism.{h,cc} and the unit merge in chase/chase.cc): the
+// walk's conjunct choice, range clipping and join-work charge, its rows
+// against a brute-force enumeration, BindingSegment budget mechanics,
+// bit-identity of one discovery thread against four across the variant x
+// order grid, discovery-cap sweeps and fault-injection abort points, and
+// counters recorded from the engines the walk replaced.
 
-#include "chase/plan_executor.h"
-
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
@@ -32,13 +31,23 @@ Instance MakeInstance(const std::vector<Atom>& facts) {
   return instance;
 }
 
+/// Runs unit (`rule`, `pivot`) over `instance` under a join budget and a
+/// row cap.
+HomSearchStatus RunUnit(const Tgd& rule, const Instance& instance,
+                        uint32_t pivot, AtomId watermark, BindingSegment* out,
+                        uint64_t budget = kUnlimited,
+                        uint64_t row_cap = kUnlimited) {
+  HomSearchOptions options;
+  options.max_candidate_visits = budget;
+  return HomomorphismFinder(instance).FindUnit(
+      rule.body(), rule.num_variables(), pivot, watermark, options, row_cap,
+      out);
+}
+
 /// Runs unit (rule 0, `pivot`) of `program` over `instance`, uncapped.
-PlanExecutor::UnitStatus RunUnit(const ParsedProgram& program,
-                                 const Instance& instance, uint32_t pivot,
-                                 AtomId watermark, BindingSegment* out) {
-  return PlanExecutor(instance).ExecuteUnit(program.rules.rule(0), pivot,
-                                            watermark, kUnlimited, kUnlimited,
-                                            /*governor=*/nullptr, out);
+HomSearchStatus RunUnit(const ParsedProgram& program, const Instance& instance,
+                        uint32_t pivot, AtomId watermark, BindingSegment* out) {
+  return RunUnit(program.rules.rule(0), instance, pivot, watermark, out);
 }
 
 Term Constant(const ParsedProgram& program, const char* name) {
@@ -46,7 +55,7 @@ Term Constant(const ParsedProgram& program, const char* name) {
 }
 
 // -------------------------------------------------------------------------
-// The executor's choices and charges.
+// The walk's choices and charges.
 
 TEST(JoinPlanTest, ConstantsBecomeChecksAndProbeSites) {
   ParsedProgram program = MustParse(
@@ -54,7 +63,7 @@ TEST(JoinPlanTest, ConstantsBecomeChecksAndProbeSites) {
       "p(c,a). p(d,b). p(c,e). p(d,f). p(d,g).\n");
   const Instance instance = MakeInstance(program.facts);
   BindingSegment out;
-  const PlanExecutor::UnitStatus status =
+  const HomSearchStatus status =
       RunUnit(program, instance, 0, /*watermark=*/0, &out);
   // Only the two p(c,_) atoms match, and the scan reads the (p, 0, c)
   // list instead of all five p atoms.
@@ -72,7 +81,7 @@ TEST(JoinPlanTest, RepeatedVariableChecksWithoutProbing) {
       "e(a,b). e(b,b). e(c,a). e(d,d).\n");
   const Instance instance = MakeInstance(program.facts);
   BindingSegment out;
-  const PlanExecutor::UnitStatus status =
+  const HomSearchStatus status =
       RunUnit(program, instance, 0, /*watermark=*/0, &out);
   ASSERT_EQ(out.rows(), 2u);
   EXPECT_EQ(out.row(0)[0], Constant(program, "b"));
@@ -86,7 +95,7 @@ TEST(JoinPlanTest, ChooseFirstConjunctPrefersSmallerRelation) {
       "big(a,b). big(b,c). big(c,d). small(d,e).\n");
   const Instance instance = MakeInstance(program.facts);
   BindingSegment out;
-  const PlanExecutor::UnitStatus status =
+  const HomSearchStatus status =
       RunUnit(program, instance, 0, /*watermark=*/0, &out);
   ASSERT_EQ(out.rows(), 1u);
   // small first: its one atom, then the one big atom with Y = d. Starting
@@ -116,7 +125,7 @@ TEST(PlanExecutorTest, DeltaModeRequiresNewAtoms) {
   BindingSegment out;
   // Atom 0 is old and atom 1 delta: the delta-only pivot matches atom 1,
   // and the old atom ahead of it still counts.
-  const PlanExecutor::UnitStatus status =
+  const HomSearchStatus status =
       RunUnit(program, instance, 0, /*watermark=*/1, &out);
   ASSERT_EQ(out.rows(), 1u);
   EXPECT_EQ(out.row(0)[0], Constant(program, "b"));
@@ -131,7 +140,7 @@ TEST(PlanExecutorTest, EnumeratesInIdLexOrderWithDeltaPivot) {
   BindingSegment out;
   // Watermark 0: everything is delta. Pivot 0 enumerates both chain joins
   // (a,b,c) and (b,c,d) in id order.
-  PlanExecutor::UnitStatus status =
+  HomSearchStatus status =
       RunUnit(program, instance, 0, /*watermark=*/0, &out);
   EXPECT_FALSE(status.budget_exhausted);
   ASSERT_EQ(out.rows(), 2u);
@@ -140,41 +149,69 @@ TEST(PlanExecutorTest, EnumeratesInIdLexOrderWithDeltaPivot) {
 
   // Pivot 1 with the watermark past the whole instance: an empty delta
   // and no rows, but the old atoms of the lists the walk picks still
-  // count, as they do in the search.
+  // count, as they do in an unranged walk.
   status = RunUnit(program, instance, 1, /*watermark=*/instance.size(), &out);
   EXPECT_EQ(out.rows(), 0u);
   EXPECT_GT(status.charge, 0u);
 }
 
-/// The backtracking search over `body` with every conjunct in range: its
-/// bindings in order and its visit count, stopped after `row_cap` rows
-/// or past `max_visits` visits.
-struct SearchRun {
+/// Every homomorphism of `body` into `instance` that extends `binding`,
+/// by brute force: every tuple of atoms, one per conjunct with the
+/// conjunct's predicate, that unifies with the body left to right. It
+/// shares no code with the walk: no index, no conjunct order, no trail.
+void BruteForce(const Instance& instance, const std::vector<Atom>& body,
+                std::size_t conjunct, const Binding& binding,
+                std::vector<Binding>* out) {
+  if (conjunct == body.size()) {
+    out->push_back(binding);
+    return;
+  }
+  const Atom& pattern = body[conjunct];
+  for (AtomId id = 0; id < instance.size(); ++id) {
+    const AtomView fact = instance.atom(id);
+    if (fact.predicate != pattern.predicate) continue;
+    Binding next = binding;
+    bool unifies = true;
+    for (uint32_t pos = 0; pos < pattern.arity() && unifies; ++pos) {
+      const Term t = pattern.args[pos];
+      if (!t.IsVariable()) {
+        unifies = t == fact.args[pos];
+      } else if (IsBound(next[t.index()])) {
+        unifies = next[t.index()] == fact.args[pos];
+      } else {
+        next[t.index()] = fact.args[pos];
+      }
+    }
+    if (unifies) BruteForce(instance, body, conjunct + 1, next, out);
+  }
+}
+
+/// Rows as a sorted multiset of raw term tuples.
+std::vector<std::vector<uint32_t>> Multiset(const std::vector<Binding>& rows) {
+  std::vector<std::vector<uint32_t>> raws;
+  for (const Binding& row : rows) {
+    std::vector<uint32_t> raw;
+    for (Term t : row) raw.push_back(t.raw());
+    raws.push_back(std::move(raw));
+  }
+  std::sort(raws.begin(), raws.end());
+  return raws;
+}
+
+std::vector<Binding> Rows(const BindingSegment& segment) {
   std::vector<Binding> rows;
-  uint64_t visits = 0;
-  bool exhausted = false;
-};
-SearchRun RunSearch(const Instance& instance, const Tgd& rule,
-                    uint64_t max_visits, uint64_t row_cap) {
-  SearchRun run;
-  HomSearchOptions options;
-  options.max_candidate_visits = max_visits;
-  options.visits = &run.visits;
-  options.budget_exhausted = &run.exhausted;
-  HomomorphismFinder(instance).FindAllWithOptions(
-      rule.body(), rule.num_variables(), options, Binding(),
-      [&](const Binding& binding) {
-        run.rows.push_back(binding);
-        return run.rows.size() < row_cap;
-      });
-  return run;
+  for (uint64_t i = 0; i < segment.rows(); ++i) {
+    rows.emplace_back(segment.row(i), segment.row(i) + segment.width());
+  }
+  return rows;
 }
 
 TEST(PlanExecutorTest, MatchesTheSearchOnWideBodies) {
   // With watermark 0 every conjunct after the pivot-0 delta is in range,
-  // so unit (rule, 0) must enumerate what the unranged search does, in
-  // its order, with its visit count — also where a row cap or a visit
-  // budget stops both partway.
+  // so unit (rule, 0) enumerates every homomorphism of the body: exactly
+  // the brute-force ones, each once. A row cap keeps a prefix of those
+  // rows, and a join budget below the uncapped charge stops the walk
+  // with the charge one past it.
   ParsedProgram program = MustParse(
       "e(X,Y), e(Y,Z), f(Z,W), s(W) -> p(X,W).\n"
       "e(X,Y), f(Y,Z), e(Z,X) -> p(X,Z).\n"
@@ -183,28 +220,69 @@ TEST(PlanExecutorTest, MatchesTheSearchOnWideBodies) {
   const Instance instance = MakeInstance(program.facts);
   for (uint32_t r = 0; r < program.rules.size(); ++r) {
     const Tgd& rule = program.rules.rule(r);
-    const SearchRun full = RunSearch(instance, rule, kUnlimited, kUnlimited);
-    ASSERT_GT(full.rows.size(), 2u) << r;
+    const Binding unbound(rule.num_variables(), UnboundTerm());
+    std::vector<Binding> expected;
+    BruteForce(instance, rule.body(), 0, unbound, &expected);
+    BindingSegment segment;
+    const HomSearchStatus full = RunUnit(rule, instance, 0, 0, &segment);
+    const std::vector<Binding> full_rows = Rows(segment);
+    ASSERT_GT(full_rows.size(), 2u) << r;
+    EXPECT_EQ(Multiset(full_rows), Multiset(expected)) << r;
+    EXPECT_FALSE(full.budget_exhausted || full.row_capped) << r;
+
     for (uint64_t row_cap : {kUnlimited, uint64_t{1}, uint64_t{2}}) {
-      for (uint64_t budget : {kUnlimited, full.visits / 2, uint64_t{3}}) {
-        const SearchRun search = RunSearch(instance, rule, budget, row_cap);
+      for (uint64_t budget : {kUnlimited, full.charge / 2, uint64_t{3}}) {
         BindingSegment out;
-        const PlanExecutor::UnitStatus status =
-            PlanExecutor(instance).ExecuteUnit(rule, 0, 0, budget, row_cap,
-                                               nullptr, &out);
+        const HomSearchStatus status =
+            RunUnit(rule, instance, 0, 0, &out, budget, row_cap);
         const std::string context = "rule " + std::to_string(r) + " cap " +
                                     std::to_string(row_cap) + " budget " +
                                     std::to_string(budget);
-        EXPECT_EQ(status.charge, search.visits) << context;
-        EXPECT_EQ(status.budget_exhausted, search.exhausted) << context;
-        ASSERT_EQ(out.rows(), search.rows.size()) << context;
-        for (uint64_t i = 0; i < out.rows(); ++i) {
-          EXPECT_EQ(Binding(out.row(i), out.row(i) + rule.num_variables()),
-                    search.rows[i])
-              << context << " row " << i;
+        const std::vector<Binding> rows = Rows(out);
+        ASSERT_LE(rows.size(), full_rows.size()) << context;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          EXPECT_EQ(rows[i], full_rows[i]) << context << " row " << i;
+        }
+        EXPECT_EQ(status.row_capped, rows.size() == row_cap) << context;
+        if (status.budget_exhausted) {
+          EXPECT_EQ(status.charge, budget + 1) << context;
+        } else {
+          EXPECT_LE(status.charge, full.charge) << context;
+        }
+        if (!status.row_capped) {
+          // Only a budget or the end of the walk stopped it.
+          EXPECT_EQ(status.budget_exhausted, budget < full.charge) << context;
+          if (!status.budget_exhausted) {
+            EXPECT_EQ(rows.size(), full_rows.size()) << context;
+            EXPECT_EQ(status.charge, full.charge) << context;
+          }
         }
       }
     }
+
+    // A pinned variable, as a head check pins the frontier: the search
+    // from an initial binding finds exactly the brute-force extensions of
+    // that binding.
+    std::vector<Binding> pinned_union;
+    for (const char* name : {"n0", "n1", "n2", "n3"}) {
+      Binding initial = unbound;
+      initial[0] = Constant(program, name);
+      std::vector<Binding> extensions;
+      BruteForce(instance, rule.body(), 0, initial, &extensions);
+      std::vector<Binding> found;
+      const HomSearchStatus status =
+          HomomorphismFinder(instance).FindAllWithOptions(
+              rule.body(), rule.num_variables(), HomSearchOptions{}, initial,
+              [&found](const Binding& binding) {
+                found.push_back(binding);
+                return true;
+              });
+      EXPECT_EQ(Multiset(found), Multiset(extensions)) << r << " " << name;
+      EXPECT_FALSE(status.budget_exhausted || status.row_capped)
+          << r << " " << name;
+      pinned_union.insert(pinned_union.end(), found.begin(), found.end());
+    }
+    EXPECT_EQ(Multiset(pinned_union), Multiset(full_rows)) << r;
   }
 }
 
@@ -524,8 +602,7 @@ TEST(JoinPlanTest, StatsReportPlanActivity) {
 
 // -------------------------------------------------------------------------
 // Recorded discovery counters. The expected lines were recorded from the
-// engine pair that ran before the plan executor took over every body
-// width: the compiled plans for one- and two-conjunct bodies, the
+// engine pair that ran before one walk took over every body width: the compiled plans for one- and two-conjunct bodies, the
 // backtracking search for wider ones and for every round where a
 // discovery cap bound. A change to the discovery order, the join-work
 // charge or where a cap stops a round moves one of these lines.

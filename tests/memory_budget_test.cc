@@ -198,7 +198,8 @@ TEST(ChaseMemoryTest, DivergentChaseStopsOnBudgetWithCleanPartialResult) {
   ChaseOptions options;
   options.variant = ChaseVariant::kOblivious;
   options.max_atoms = 1u << 20;  // backstop far above the byte budget
-  options.max_memory_bytes = 1u << 20;  // 1 MiB
+  constexpr uint64_t kBudget = 1u << 20;  // 1 MiB
+  options.memory_budget = std::make_shared<MemoryBudget>(kBudget);
   ChaseRun run(program.rules, options, program.facts);
   EXPECT_EQ(run.Execute(), ChaseOutcome::kMemoryBudgetExceeded);
 
@@ -211,9 +212,8 @@ TEST(ChaseMemoryTest, DivergentChaseStopsOnBudgetWithCleanPartialResult) {
   // The checks are hoisted to pre-size points, so the peak overshoots
   // the budget by at most one (here: zero) growth step.
   EXPECT_GT(run.stats().peak_memory_bytes, 0u);
-  EXPECT_LE(run.stats().peak_memory_bytes,
-            options.max_memory_bytes + options.max_memory_bytes / 10);
-  EXPECT_EQ(run.stats().memory_budget_bytes, options.max_memory_bytes);
+  EXPECT_LE(run.stats().peak_memory_bytes, kBudget + kBudget / 10);
+  EXPECT_EQ(run.stats().memory_budget_bytes, kBudget);
   EXPECT_EQ(run.stats().memory_in_use_bytes, run.memory_budget().in_use_bytes());
 }
 
@@ -227,7 +227,8 @@ TEST(ChaseMemoryTest, CappedRunIsBitExactPrefixOfUncappedRun) {
   ASSERT_GT(base.stats.peak_memory_bytes, 0u);
 
   ChaseOptions capped = options;
-  capped.max_memory_bytes = base.stats.peak_memory_bytes / 2;
+  capped.memory_budget =
+      std::make_shared<MemoryBudget>(base.stats.peak_memory_bytes / 2);
   ChaseResult run = RunChase(program.rules, capped, program.facts);
   EXPECT_EQ(run.outcome, ChaseOutcome::kMemoryBudgetExceeded);
   ASSERT_LE(run.instance.size(), base.instance.size());
@@ -331,7 +332,8 @@ TEST(ChaseMemoryTest, TripInAMergeRerunDropsTheRound) {
     ASSERT_GE(base.stats().peak_memory_bytes, seeded + rows_bytes);
 
     ChaseOptions budgeted = options;
-    budgeted.max_memory_bytes = seeded + rows_bytes / 2;
+    budgeted.memory_budget =
+        std::make_shared<MemoryBudget>(seeded + rows_bytes / 2);
     ChaseRun run(program.rules, budgeted, program.facts);
     ASSERT_EQ(run.memory_budget().in_use_bytes(), seeded);
     // The trip stops the run in discovery: the rows found before it are
@@ -362,8 +364,8 @@ TEST(ChaseMemoryTest, StepCapStopsTheUnitAtItsRow) {
     ASSERT_EQ(base.Execute(), ChaseOutcome::kResourceLimit);
 
     ChaseOptions budgeted = options;
-    budgeted.max_memory_bytes =
-        seeded + uint64_t{kFacts} * 3 * sizeof(Term) / 2;
+    budgeted.memory_budget = std::make_shared<MemoryBudget>(
+        seeded + uint64_t{kFacts} * 3 * sizeof(Term) / 2);
     ChaseRun run(program.rules, budgeted, program.facts);
     EXPECT_EQ(run.Execute(), ChaseOutcome::kResourceLimit)
         << threads << " threads";
@@ -399,13 +401,14 @@ TEST(ChaseMemoryTest, AmpleBudgetLeavesTheRunUntouched) {
   ASSERT_EQ(base.outcome, ChaseOutcome::kTerminated);
 
   ChaseOptions budgeted = plain;
-  budgeted.max_memory_bytes = uint64_t{64} << 20;
+  constexpr uint64_t kBudget = uint64_t{64} << 20;
+  budgeted.memory_budget = std::make_shared<MemoryBudget>(kBudget);
   ChaseResult run = RunChase(program.rules, budgeted, program.facts);
   EXPECT_EQ(run.outcome, ChaseOutcome::kTerminated);
   ASSERT_EQ(run.instance.size(), base.instance.size());
   EXPECT_EQ(run.applied_triggers, base.applied_triggers);
   EXPECT_GT(run.stats.peak_memory_bytes, 0u);
-  EXPECT_EQ(run.stats.memory_budget_bytes, budgeted.max_memory_bytes);
+  EXPECT_EQ(run.stats.memory_budget_bytes, kBudget);
 }
 
 // -------------------------------------------------------------------------
@@ -415,7 +418,8 @@ TEST(ChaseMemoryTest, AmpleBudgetLeavesTheRunUntouched) {
 TEST(DeciderMemoryTest, MemoryCapDegradesToUnknownWithMemoryReason) {
   ParsedProgram program = MustParse(kDivergingProgram);
   DeciderOptions options;
-  options.max_memory_bytes = 1u << 10;  // far below any useful exploration
+  // Far below any useful exploration.
+  options.memory_budget = std::make_shared<MemoryBudget>(1u << 10);
   StatusOr<DeciderResult> result =
       DecideTermination(program.rules, &program.vocabulary,
                         ChaseVariant::kOblivious, options);
@@ -448,19 +452,19 @@ TEST(DeciderMemoryTest, ProvenanceAndTriggerLogAreCharged) {
   const uint64_t storage_peak = unbudgeted.stats().peak_memory_bytes;
   ASSERT_GT(storage_peak, 0u);
 
-  options.max_memory_bytes = storage_peak;
+  options.memory_budget = std::make_shared<MemoryBudget>(storage_peak);
   ChaseRun storage_alone(program.rules, options, critical);
   EXPECT_EQ(storage_alone.Execute(eager), ChaseOutcome::kTerminated);
 
   DeciderOptions decider;
-  decider.max_memory_bytes = storage_peak;
+  decider.memory_budget = std::make_shared<MemoryBudget>(storage_peak);
   StatusOr<DeciderResult> result = DecideTermination(
       program.rules, &program.vocabulary, ChaseVariant::kOblivious, decider);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->verdict, TerminationVerdict::kUnknown);
   EXPECT_EQ(result->unknown.reason, StopReason::kMemory);
 
-  decider.max_memory_bytes = 0;
+  decider.memory_budget = nullptr;
   result = DecideTermination(program.rules, &program.vocabulary,
                              ChaseVariant::kOblivious, decider);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
